@@ -13,7 +13,7 @@ A flat ``key = value`` config file may be given as a positional argument;
 explicit flags override file values.  Reports are emitted as JSON (default)
 or CSV; timing information is excluded from determinism guarantees.  Exit
 codes: 0 all checks passed, 1 a check failed, 2 bad input or config, 3 a
-solver failed to converge.
+solver could not certify its result.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import dataclasses
 import io
 import json
 import math
-import os
 import sys
 import time
 
@@ -110,24 +109,6 @@ def _merge_options(args: argparse.Namespace) -> dict:
     return opts
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("NORMLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items):
-    threads = _thread_count()
-    if threads == 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # report sections
 # ---------------------------------------------------------------------------
@@ -159,13 +140,13 @@ def _subspace_section(opts: dict) -> dict:
     grid = int(opts["grid"])
     tol = float(opts["tol"])
 
-    def probe(t: int):
-        sub = sample_two_d_subspace(n, seed.derive("sub", t))
-        return probe_subspace(
-            spec, sub, index=t, grid_size=grid, tol=tol, seed=seed.derive("probe", t)
+    reports = [
+        probe_subspace(
+            spec, sample_two_d_subspace(n, seed.derive("sub", t)), index=t,
+            grid_size=grid, tol=tol,
         )
-
-    reports = _pmap(probe, range(count))
+        for t in range(count)
+    ]
     rows = [dataclasses.asdict(r) for r in reports]
     deficiencies = [r.worst_deficiency for r in reports]
     return {
@@ -494,7 +475,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](opts)
     except (DualNormError, UndecidableConditionError) as exc:
-        print(f"solver failed to converge: {exc}", file=sys.stderr)
+        print(f"solver could not certify its result: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,6 +30,7 @@ from .linalg import (
 )
 from .norms import (
     NormSpec,
+    circle_sweep,
     goodness,
     make_norm_spec,
     norm,
@@ -121,24 +122,14 @@ def verify_goodness_equivalence(
     most epsilon, the projection norm must be at most 1 + epsilon and the
     distortion at most 1 + 3 pi sqrt(epsilon).  Directions whose premises
     fail are skipped; if both are skipped the report is not applicable.
+    The sampled points are the ``samples`` angles of one certified
+    :func:`circle_sweep`; the projection norm comes from a sweep of
+    ``grid_size`` angles.
     """
     seed = seed or Seed(0)
     ec = euclidean_constant(spec, sub, grid_size=grid_size)
-    pn = projection_op_norm(spec, sub, seed=seed.derive("opnorm"))
-    thetas = np.arange(samples) * (np.pi / samples)
-    warm = None
-    worst = -np.inf
-    for j, th in enumerate(thetas):
-        cert = goodness(
-            spec,
-            sub.point(float(th)),
-            seed=seed.derive("eq-sweep", j),
-            n_starts=6,
-            max_iter=150,
-            warm_starts=warm,
-        )
-        worst = max(worst, cert.raw)
-        warm = cert.witness[None, :]
+    pn = projection_op_norm(spec, sub, grid_size=grid_size)
+    worst = float(circle_sweep(spec, sub.frame().columns, samples).raw.max())
 
     checks: list[tuple[str, float, float]] = []  # (name, bound, measured)
     if ec.ratio <= 1 + epsilon and pn <= 1 + epsilon:
@@ -247,7 +238,7 @@ def verify_support_characterization(
     x = np.asarray(x, dtype=float)
     xu = x / np.linalg.norm(x)
     C = float(spec.C if C is None else C)
-    cert = goodness(spec, xu, seed=seed.derive("support-char"))
+    cert = goodness(spec, xu)
     gap = _support_pair_gap(spec, xu)
     details: dict = {"canonical_gap": gap, "deficiency": cert.raw, "C": C}
     checks: list[tuple[str, float, float, float]] = []  # name, bound, measured, margin
@@ -1066,9 +1057,7 @@ def verify_goodness_floor(
     worst_thetas = []
     for t in range(subspace_trials):
         sub = sample_two_d_subspace(n, seed.derive("floor-sub", t))
-        wg = worst_goodness(
-            spec, sub, grid_size=grid_size, tol=tol, seed=seed.derive("floor-wg", t)
-        )
+        wg = worst_goodness(spec, sub, grid_size=grid_size, tol=tol)
         worst_thetas.append(wg.deficiency)
         if wg.deficiency < floor:
             floor = wg.deficiency

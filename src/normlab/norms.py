@@ -1,26 +1,36 @@
-"""The randomized norm and its dual-side diagnostics.
+"""The randomized norm and its certified dual.
 
 The norm studied here is
 
     ||x|| = sqrt(<x, (I + P) x>) + eta * n**-0.5 * sum_i |x_i|
 
 for an orthogonal projection P of roughly half rank.  The quadratic part
-alone is written ``norm_A``.  Because the Euclidean norm sandwiches ||.||
-between |x| and (sqrt(2) + eta)|x|, every quantity of interest (dual norms,
-support functionals, goodness deficiencies) is well conditioned and can be
-attacked with direct maximization on the Euclidean sphere.
+alone is written ``norm_A``.  The Euclidean norm sandwiches ||.|| between
+|x| and (sqrt(2) + eta)|x|, so every dual-side quantity (dual norms, goodness
+deficiencies, projection norms) is well conditioned.
 
-The dual norm is computed by multistart projected ascent of the scale
-invariant ratio <z, y> / ||y||.  Super-level sets of that ratio are convex
-cones, so ascent cannot get trapped below the supremum except on flat
-pieces, which the multistart covers; for eta = 0 the closed form
-sqrt(<z, (I + P)^-1 z>) bypasses the solver entirely (and (I + P)^-1 is
-exactly I - P/2 for a projection P).
+The dual of a sum of norms is the inf-convolution of their duals
+(Rockafellar, *Convex Analysis*, Thm 16.4).  With A = I + P, whose inverse
+is exactly I - P/2, and w = eta / sqrt(n):
+
+    ||z||_* = min t  s.t.  |r|_inf <= w t,  (z - r)^T A^-1 (z - r) <= t^2.
+
+:func:`dual_brackets` solves this for every row of a matrix at once: a
+bisection on t, each level a box-constrained quadratic program in r.
+Projected gradient with step 1/2 contracts that program by exactly 1/2 per
+step, because I - A^-1 = P/2.  Each row comes back with a two-sided
+bracket.  The split (z - r, r) bounds the dual norm from above, and the
+witness y = A^-1 (z - r), evaluated with :func:`norm`, bounds it from below
+by <z, y> / ||y||.  A bracket wider than ``BRACKET_TOL`` raises
+:class:`DualNormError` where it is used.  For eta = 0 the closed form
+sqrt(<z, A^-1 z>) is exact.
+
+Goodness deficiencies and the norms of rank-one and rank-two orthogonal
+projections are read off these solves (:func:`circle_sweep`).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,16 +38,19 @@ import numpy as np
 from .linalg import ProjectionPair, Seed, sample_projection
 
 GOODNESS_TOL = 1e-7   # deficiencies below this are reported as zero
-_STEP_FLOOR = 1e-14
-_GRAD_FLOOR = 1e-12
+BRACKET_TOL = 1e-12   # widest accepted dual bracket, relative to its upper end
+_BISECT_STEPS = 64
+_INNER_STEPS = 12
+_POLISH_STEPS = 200
 
 
 class DualNormError(RuntimeError):
-    """Dual-norm ascent failed to converge; carries the best bracket."""
+    """A dual norm could not be certified; carries the bracket reached."""
 
     def __init__(self, lower: float, upper: float):
         super().__init__(
-            f"dual norm ascent did not converge: best bracket [{lower}, {upper}]"
+            f"dual norm not certified: bracket [{lower}, {upper}] is wider "
+            f"than {BRACKET_TOL} relative"
         )
         self.lower = lower
         self.upper = upper
@@ -116,237 +129,101 @@ def norm_subgradient(spec: NormSpec, x: np.ndarray) -> np.ndarray:
     return quad_part + spec.ell1_weight * np.sign(x)
 
 
-def _sphere_ascent(
-    value_grad,
-    y0: np.ndarray,
-    max_iter: int,
-    grad_floor: float = _GRAD_FLOOR,
-) -> tuple[float, np.ndarray, bool]:
-    """Armijo gradient ascent of a 0-homogeneous function on the unit sphere.
+@dataclass(frozen=True)
+class DualBracket:
+    """Certified dual norms of a stack of rows: lower <= ||z_i||_* <= upper.
 
-    ``value_grad(y)`` returns (f(y), grad f(y)) for unit y.  Returns the best
-    value, its point, and a convergence flag (small tangential gradient or an
-    exhausted step size, as opposed to running out of iterations).
+    ``witness[i]`` has norm one and attains <z_i, witness[i]> = lower[i]; a
+    zero row gets a zero witness and a zero bracket.
     """
-    y = y0 / np.linalg.norm(y0)
-    v, g = value_grad(y)
-    t = 0.5
-    converged = False
-    stalled = 0
-    for _ in range(max_iter):
-        gt = g - (g @ y) * y
-        gn2 = float(gt @ gt)
-        if gn2 < grad_floor * grad_floor:
-            converged = True
-            break
-        moved = False
-        while t >= _STEP_FLOOR:
-            cand = y + t * gt
-            cand /= np.linalg.norm(cand)
-            vc, gc = value_grad(cand)
-            if vc >= v + 0.1 * t * gn2:
-                gain = vc - v
-                y, v, g = cand, vc, gc
-                moved = True
-                t = min(t * 1.8, 8.0)
-                break
-            t *= 0.5
-        if not moved:
-            converged = True  # step exhausted: stationary to working precision
-            break
-        # accepted moves that no longer change the value mean we are done
-        stalled = stalled + 1 if gain <= 1e-14 * (1.0 + abs(v)) else 0
-        if stalled >= 3:
-            converged = True
-            break
-    return v, y, converged
+
+    lower: np.ndarray
+    upper: np.ndarray
+    witness: np.ndarray
+
+    @property
+    def failed(self) -> np.ndarray:
+        """Rows whose bracket is wider than ``BRACKET_TOL`` (NaN counts)."""
+        return ~(np.abs(self.upper - self.lower) <= BRACKET_TOL * self.upper)
+
+    def check(self) -> "DualBracket":
+        """Return self, or raise :class:`DualNormError` for the first failed row."""
+        bad = np.flatnonzero(self.failed)
+        if bad.size:
+            raise DualNormError(float(self.lower[bad[0]]), float(self.upper[bad[0]]))
+        return self
 
 
-def _dual_value_grad(spec: NormSpec, z: np.ndarray):
-    a = spec.A
+def _unit_rows(spec: NormSpec, y: np.ndarray) -> np.ndarray:
+    """Rows of y scaled to norm one; zero rows stay zero."""
+    ny = norm(spec, y)
+    return y / np.where(ny > 0, ny, 1.0)[:, None]
+
+
+def _box_qp(z, r, radius, ainv, steps):
+    """Projected gradient, step 1/2, on min (z - r)^T A^-1 (z - r), |r| <= radius."""
+    for _ in range(steps):
+        r_next = np.clip(r + (z - r) @ ainv, -radius, radius)
+        if np.array_equal(r_next, r):
+            break
+        r = r_next
+    return r
+
+
+def dual_brackets(spec: NormSpec, z: np.ndarray) -> DualBracket:
+    """Certified dual norms of every row of ``z`` (a vector counts as one row).
+
+    Bisects on the level t, warm-starting each level's box program from the
+    last split; r = 0 is feasible at t = |z| and no t below |z| / C is.  The
+    last feasible level is then polished to convergence.  Never raises on a
+    wide bracket: callers decide with :meth:`DualBracket.check`.
+    """
+    z = np.atleast_2d(np.asarray(z, dtype=float))
+    ainv = spec.Ainv
     w = spec.ell1_weight
+    if w == 0:
+        y = z @ ainv
+        val = np.sqrt(np.maximum(np.einsum("ij,ij->i", z, y), 0.0))
+        return DualBracket(lower=val, upper=val, witness=_unit_rows(spec, y))
 
-    def vg(y: np.ndarray):
-        ay = a @ y
-        na = math.sqrt(max(float(y @ ay), 0.0))
-        nrm = na + w * float(np.abs(y).sum())
-        num = float(z @ y)
-        val = num / nrm
-        sg = ay / na + w * np.sign(y)
-        grad = z / nrm - (num / (nrm * nrm)) * sg
-        return val, grad
-
-    return vg
-
-
-def _face_candidates(spec: NormSpec, z: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
-    """Closed-form stationary points of <z, .>/||.|| on sign-orthant faces.
-
-    The l1 term makes the objective kinked where a coordinate vanishes, and
-    plain ascent stalls a few 1e-6 short when the maximizer sits near a
-    kink.  On a fixed face (sign pattern s on an active set, zeros outside)
-    the objective is smooth, and stationarity reduces to the scalar
-    quadratic q2 t^2 - 2 q1 t + (q0 - 1) = 0 for t = 1/value, with
-    q2, q1, q0 the A^-1 quadratic forms of the active-block z and w s.
-    Candidate faces are read off y: its own support, then supports with the
-    smallest coordinates dropped.  Candidates come back unverified; the
-    caller scores them with the true objective and keeps improvements only.
-    """
-    w = spec.ell1_weight
-    mags = np.abs(y)
-    top = mags.max()
-    if top == 0.0:
-        return []
-    order = np.argsort(mags)
-    cands: list[np.ndarray] = []
-
-    def solve_face(signs: np.ndarray, active: np.ndarray) -> None:
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            return
-        a_r = spec.A[np.ix_(idx, idx)]
-        z_r = z[idx]
-        c_r = w * signs[idx]
-        try:
-            sol = np.linalg.solve(a_r, np.column_stack([z_r, c_r]))
-        except np.linalg.LinAlgError:  # pragma: no cover - A is PD
-            return
-        d, e = sol[:, 0], sol[:, 1]
-        q2 = float(z_r @ d)
-        q1 = float(z_r @ e)
-        q0 = float(c_r @ e)
-        if q2 <= 0.0:
-            return
-        disc = q1 * q1 - q2 * (q0 - 1.0)
-        if disc < 0.0:
-            return
-        root = math.sqrt(disc)
-        for t in ((q1 + root) / q2, (q1 - root) / q2):
-            if not math.isfinite(t) or t <= 0.0:
-                continue
-            y_r = t * d - e
-            nr = np.linalg.norm(y_r)
-            if nr == 0.0 or not np.isfinite(nr):
-                continue
-            cand = np.zeros_like(y)
-            cand[idx] = y_r / nr
-            cands.append(cand)
-
-    base_sign = np.sign(y)
-    # ladder of faces dropping the smallest coordinates, current signs kept
-    small = int(np.sum(mags < 0.1 * top))
-    for drop in (0, 1, 2, 4, 8):
-        if drop > small and drop != 0:
+    hi = np.linalg.norm(z, axis=1)
+    lo = hi / spec.C
+    r = np.zeros_like(z)
+    for _ in range(_BISECT_STEPS):
+        t = 0.5 * (lo + hi)
+        r = _box_qp(z, r, (w * t)[:, None], ainv, _INNER_STEPS)
+        resid = z - r
+        feasible = np.einsum("ij,ij->i", resid, resid @ ainv) <= t * t
+        hi = np.where(feasible, t, hi)
+        lo = np.where(feasible, lo, t)
+        if np.all(hi - lo <= np.finfo(float).eps * hi):
             break
-        active = np.ones_like(y, dtype=bool)
-        active[order[:drop]] = False
-        solve_face(base_sign, active)
-    # exhaustive sign/zero assignment on the few smallest coordinates, where
-    # the ascent cannot tell which side of the kink the maximizer sits on
-    probe = order[: min(4, y.shape[0])]
-    for choice in np.ndindex(*(3,) * probe.size):
-        signs = base_sign.copy()
-        active = np.ones_like(y, dtype=bool)
-        for j, f in zip(probe, choice):
-            if f == 0:
-                active[j] = False
-            else:
-                signs[j] = float(f * 2 - 3)  # 1 -> -1, 2 -> +1
-        solve_face(signs, active)
-    return cands
-
-
-def dual_norm_upper_bound(spec: NormSpec, z: np.ndarray) -> float:
-    """Certified upper bound on the dual norm via a two-piece split of z.
-
-    Any split z = z1 + z2 bounds the dual norm by the larger of the two
-    pieces' dual norms; soft-thresholding gives a one-parameter family of
-    splits whose best member is found by bisection.
-    """
-    z = np.asarray(z, dtype=float)
-
-    def quad_dual(w: np.ndarray) -> float:
-        return float(np.sqrt(max(0.0, w @ (spec.Ainv @ w))))
-
-    if spec.eta == 0:
-        return quad_dual(z)
-    root_n_over_eta = np.sqrt(spec.n) / spec.eta
-    lo, hi = 0.0, float(np.max(np.abs(z)))
-    if hi == 0.0:
-        return 0.0
-    for _ in range(64):
-        tau = 0.5 * (lo + hi)
-        rest = np.clip(z, -tau, tau)
-        if quad_dual(z - rest) > root_n_over_eta * tau:
-            lo = tau
-        else:
-            hi = tau
-    tau = hi
-    rest = np.clip(z, -tau, tau)
-    return max(quad_dual(z - rest), root_n_over_eta * tau)
+    radius = (w * hi)[:, None]
+    r = _box_qp(z, np.clip(r, -radius, radius), radius, ainv, _POLISH_STEPS)
+    resid = z - r
+    y = resid @ ainv
+    quad = np.sqrt(np.maximum(np.einsum("ij,ij->i", resid, y), 0.0))
+    witness = _unit_rows(spec, y)
+    return DualBracket(
+        lower=np.einsum("ij,ij->i", z, witness),
+        upper=np.maximum(quad, np.abs(r).max(axis=1) / w),
+        witness=witness,
+    )
 
 
 def dual_norm(
-    spec: NormSpec,
-    z: np.ndarray,
-    tol: float = 1e-9,
-    seed: Seed | None = None,
-    n_starts: int = 16,
-    max_iter: int = 300,
-    warm_starts: np.ndarray | None = None,
-    polish: bool = True,
+    spec: NormSpec, z: np.ndarray, seed: Seed | None = None
 ) -> tuple[float, np.ndarray]:
     """sup{ <z, y> : ||y|| <= 1 } together with a maximizer of norm one.
 
-    Multistart ascent of <z, y>/||y|| on the Euclidean sphere.  Structured
-    starts (z itself, the eta = 0 closed-form maximizer, the dominant
-    coordinate) are topped up with seeded random ones; callers doing sweeps
-    can pass ``warm_starts`` rows to reuse neighbouring maximizers.  The
-    ascent result is then refined against the closed-form face candidates
-    unless ``polish`` is switched off (worth doing only in cheap scan
-    passes whose results get re-solved anyway).  Raises
-    :class:`DualNormError` when no start converges within the budget.
+    One row of :func:`dual_brackets`; the value is attained by the returned
+    maximizer and certified to ``BRACKET_TOL``, otherwise
+    :class:`DualNormError` is raised.  ``seed`` is accepted and ignored: the
+    solver is deterministic.
     """
     z = np.asarray(z, dtype=float)
-    zn = np.linalg.norm(z)
-    if zn == 0.0:
-        return 0.0, np.zeros_like(z)
-    if spec.eta == 0:
-        w = spec.Ainv @ z
-        val = float(np.sqrt(max(0.0, z @ w)))
-        return val, w / norm(spec, w)
-
-    starts: list[np.ndarray] = [z / zn]
-    w = spec.Ainv @ z
-    starts.append(w / np.linalg.norm(w))
-    k = int(np.argmax(np.abs(z)))
-    e = np.zeros_like(z)
-    e[k] = np.sign(z[k])
-    starts.append(e)
-    if warm_starts is not None:
-        ws = np.atleast_2d(np.asarray(warm_starts, dtype=float))
-        starts.extend(ws[i] for i in range(ws.shape[0]))
-    rng = (seed or Seed(0)).derive("dual-norm").generator()
-    while len(starts) < n_starts:
-        g = rng.standard_normal(z.shape[0])
-        starts.append(g / np.linalg.norm(g))
-
-    vg = _dual_value_grad(spec, z)
-    best_v, best_y, any_conv = -np.inf, None, False
-    for y0 in starts:
-        v, y, conv = _sphere_ascent(vg, y0, max_iter)
-        any_conv = any_conv or conv
-        if v > best_v:
-            best_v, best_y = v, y
-    if not any_conv:
-        raise DualNormError(best_v, dual_norm_upper_bound(spec, z))
-    if polish:
-        for cand in _face_candidates(spec, z, best_y):
-            v = float(z @ cand) / norm(spec, cand)
-            if v > best_v:
-                best_v, best_y = v, cand
-    maximizer = best_y / norm(spec, best_y)
-    return float(z @ maximizer), maximizer
+    sol = dual_brackets(spec, z[None, :]).check()
+    return float(sol.lower[0]), sol.witness[0]
 
 
 @dataclass(frozen=True)
@@ -395,113 +272,100 @@ class GoodnessCertificate:
     tol: float
     raw: float
 
+    @classmethod
+    def from_raw(
+        cls, x: np.ndarray, raw: float, witness: np.ndarray, tol: float
+    ) -> "GoodnessCertificate":
+        raw = float(raw)
+        return cls(
+            x=x, deficiency=raw if raw >= tol else 0.0, witness=witness, tol=tol, raw=raw
+        )
+
 
 def goodness(
     spec: NormSpec,
     x: np.ndarray,
     tol: float = GOODNESS_TOL,
     seed: Seed | None = None,
-    n_starts: int = 16,
-    max_iter: int = 300,
-    warm_starts: np.ndarray | None = None,
-    polish: bool = True,
 ) -> GoodnessCertificate:
     """Goodness deficiency of x: how far x is from norming its own direction.
 
     A point is deficiency-free exactly when the rank-one orthogonal
     projection onto it has operator norm 1 measured in ``spec``'s norm; in
-    general that operator norm is 1 + deficiency.
+    general that operator norm is 1 + deficiency.  ``seed`` is accepted and
+    ignored: the dual solve is deterministic.
     """
     x = np.asarray(x, dtype=float)
     xn = np.linalg.norm(x)
     if xn == 0:
         raise ValueError("goodness needs x != 0")
     xu = x / xn
-    val, witness = dual_norm(
-        spec,
-        xu,
-        tol=min(tol, 1e-9),
-        seed=seed,
-        n_starts=n_starts,
-        max_iter=max_iter,
-        warm_starts=warm_starts,
-        polish=polish,
-    )
-    raw = val * norm(spec, xu) - 1.0
-    deficiency = raw if raw >= tol else 0.0
-    return GoodnessCertificate(
-        x=xu, deficiency=float(deficiency), witness=witness, tol=tol, raw=float(raw)
+    val, witness = dual_norm(spec, xu)
+    return GoodnessCertificate.from_raw(xu, val * norm(spec, xu) - 1.0, witness, tol)
+
+
+@dataclass(frozen=True)
+class CircleSweep:
+    """One certified dual solve along the unit circle of a 2-D span.
+
+    ``points[j]`` is the unit vector c0 sin(theta_j) + c1 cos(theta_j) at
+    theta_j = j pi / G; the half circle suffices since the other half is its
+    negative.  ``raw[j]`` is the point's goodness deficiency before clamping,
+    ||e|| ||e||_* - 1.  ``proj_ratio[j]`` is ||P y|| / ||y|| at the point's
+    norming witness y, with P the orthogonal projection onto the span.
+    """
+
+    thetas: np.ndarray
+    points: np.ndarray
+    dual: DualBracket
+    raw: np.ndarray
+    proj_ratio: np.ndarray
+
+
+def circle_sweep(spec: NormSpec, cols: np.ndarray, grid_size: int) -> CircleSweep:
+    """Solve the dual norm at ``grid_size`` points of the circle of two columns.
+
+    ``cols`` holds two orthonormal columns.  Raises :class:`DualNormError`
+    if any grid point's bracket is wider than ``BRACKET_TOL``.
+    """
+    cols = np.asarray(cols, dtype=float)
+    thetas = np.arange(grid_size) * (np.pi / grid_size)
+    points = np.outer(np.sin(thetas), cols[:, 0]) + np.outer(np.cos(thetas), cols[:, 1])
+    points /= np.linalg.norm(points, axis=1, keepdims=True)
+    sol = dual_brackets(spec, points).check()
+    projected = (sol.witness @ cols) @ cols.T
+    return CircleSweep(
+        thetas=thetas,
+        points=points,
+        dual=sol,
+        raw=sol.lower * norm(spec, points) - 1.0,
+        proj_ratio=norm(spec, projected) / norm(spec, sol.witness),
     )
 
 
 def projection_ratio_norm(
     spec: NormSpec,
     frame_cols: np.ndarray,
-    tol: float = 1e-7,
+    grid_size: int = 512,
     seed: Seed | None = None,
-    n_starts: int = 16,
-    max_iter: int = 300,
 ) -> float:
-    """Operator norm of the orthogonal projection onto given orthonormal columns.
+    """Operator norm of the orthogonal projection onto one or two columns.
 
-    Direct multistart ascent of ||U U^T x|| / ||x|| over the Euclidean
-    sphere, sharing the machinery of :func:`dual_norm` but treating the
-    projection as a black-box symmetric map.  The result is a lower bound
-    that the multistart drives to the supremum at desk scale.
+    One column u: u u^T x = <u, x> u, so the norm is ||u|| ||u||_* exactly,
+    from a single certified dual solve.  Two orthonormal columns: the norm
+    of P is attained at x = the norming witness of some unit e in the span
+    (the quotient norm of Px is a maximum of <e, Px> / ||e||_* over the
+    span), so it is the supremum over the circle of ||P y_e|| / ||y_e||.
+    The grid maximum of :func:`circle_sweep` is returned; each grid value is
+    a ratio of norms at an explicit point, hence a lower bound.  More than
+    two columns raise ValueError.  ``seed`` is accepted and ignored.
     """
     u = np.asarray(frame_cols, dtype=float)
     if u.ndim == 1:
         u = u[:, None]
-    n, k = u.shape
-
-    a = spec.A
-    w = spec.ell1_weight
-
-    def _norm_and_subgrad(x: np.ndarray):
-        ax = a @ x
-        na = math.sqrt(max(float(x @ ax), 0.0))
-        nrm = na + w * float(np.abs(x).sum())
-        if na == 0.0:
-            return nrm, w * np.sign(x)
-        return nrm, ax / na + w * np.sign(x)
-
-    def vg(x: np.ndarray):
-        px = u @ (u.T @ x)
-        np_, sg_p = _norm_and_subgrad(px)
-        dx, sg_x = _norm_and_subgrad(x)
-        val = np_ / dx
-        if np_ == 0.0:
-            return val, np.zeros_like(x)
-        gn = u @ (u.T @ sg_p)
-        grad = gn / dx - (np_ / (dx * dx)) * sg_x
-        return val, grad
-
-    starts: list[np.ndarray] = [u[:, i] for i in range(k)]
-    if k > 1:
-        starts.append((u[:, 0] + u[:, 1]) / np.sqrt(2.0))
-        starts.append((u[:, 0] - u[:, 1]) / np.sqrt(2.0))
-    rng = (seed or Seed(0)).derive("op-norm").generator()
-    while len(starts) < n_starts:
-        g = rng.standard_normal(n)
-        g /= np.linalg.norm(g)
-        # bias half the random starts toward the subspace, tilted outward
-        if len(starts) % 2 == 0:
-            g = 0.7 * (u @ (u.T @ g)) / max(np.linalg.norm(u @ (u.T @ g)), 1e-12) + 0.7 * g
-            g /= np.linalg.norm(g)
-        starts.append(g)
-
-    best, best_y = -np.inf, None
-    for y0 in starts:
-        v, y, _ = _sphere_ascent(vg, y0, max_iter)
-        if v > best:
-            best, best_y = v, y
-    if k == 1 and best_y is not None and spec.eta > 0:
-        # rank-1 projections reward the same face polish as the dual solve:
-        # the numerator is |<u, y>| ||u|| so the objective is a dual-norm
-        # ratio for the functional sign(<u, y>) u
-        z1 = u[:, 0] * np.sign(float(u[:, 0] @ best_y) or 1.0)
-        for cand in _face_candidates(spec, z1, best_y):
-            v = vg(cand)[0]
-            if v > best:
-                best = v
-    return float(best)
+    if u.shape[1] == 1:
+        val, _ = dual_norm(spec, u[:, 0])
+        return float(val * norm(spec, u[:, 0]))
+    if u.shape[1] == 2:
+        return float(circle_sweep(spec, u, grid_size).proj_ratio.max())
+    raise ValueError("projection_ratio_norm handles one or two columns")

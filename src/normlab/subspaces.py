@@ -23,9 +23,10 @@ import numpy as np
 
 from .linalg import Frame, Seed
 from .norms import (
+    CircleSweep,
     GoodnessCertificate,
     NormSpec,
-    goodness,
+    circle_sweep,
     norm,
     norm_A,
     projection_ratio_norm,
@@ -151,28 +152,22 @@ def euclidean_constant(
     )
 
 
-def projection_op_norm(
-    spec: NormSpec,
-    sub: TwoDSubspace,
-    tol: float = 1e-7,
-    seed: Seed | None = None,
-    n_starts: int = 16,
-    max_iter: int = 300,
-) -> float:
-    """Operator norm of the orthogonal projection onto the subspace."""
-    return projection_ratio_norm(
-        spec,
-        np.column_stack([sub.u, sub.v]),
-        tol=tol,
-        seed=seed,
-        n_starts=n_starts,
-        max_iter=max_iter,
-    )
+def projection_op_norm(spec: NormSpec, sub: TwoDSubspace, grid_size: int = 512) -> float:
+    """Operator norm of the orthogonal projection onto the subspace.
+
+    The grid maximum of :func:`projection_ratio_norm` over ``grid_size``
+    angles: a lower bound attained at an explicit point.
+    """
+    return projection_ratio_norm(spec, sub.frame().columns, grid_size=grid_size)
 
 
 @dataclass(frozen=True)
 class WorstGoodness:
-    """Grid maximum of the goodness deficiency along the subspace circle."""
+    """Grid maximum of the goodness deficiency along the subspace circle.
+
+    ``failures`` stays empty: a grid point whose dual norm cannot be
+    certified raises :class:`DualNormError` instead of being skipped.
+    """
 
     theta: float
     deficiency: float
@@ -182,83 +177,42 @@ class WorstGoodness:
     failures: tuple = ()
 
 
+def _sweep(spec: NormSpec, sub: TwoDSubspace, grid_size: int) -> CircleSweep:
+    if grid_size < 64:
+        raise ValueError("grid_size below 64 gives useless enclosures")
+    return circle_sweep(spec, sub.frame().columns, grid_size)
+
+
+def _worst(spec: NormSpec, sweep: CircleSweep, tol: float) -> WorstGoodness:
+    j = int(np.argmax(sweep.raw))
+    cert = GoodnessCertificate.from_raw(
+        sweep.points[j], sweep.raw[j], sweep.dual.witness[j], tol
+    )
+    grid_size = sweep.thetas.size
+    return WorstGoodness(
+        theta=float(sweep.thetas[j]),
+        deficiency=cert.deficiency,
+        width=float(spec.C * (np.pi / grid_size)),
+        grid_size=grid_size,
+        certificate=cert,
+    )
+
+
 def worst_goodness(
     spec: NormSpec,
     sub: TwoDSubspace,
     grid_size: int = 512,
     tol: float = 1e-7,
-    seed: Seed | None = None,
-    refine_top: int = 3,
-    fast_starts: int = 3,
-    fast_iters: int = 80,
 ) -> WorstGoodness:
-    """Scan theta over [0, pi) for the largest goodness deficiency.
+    """Largest goodness deficiency over a theta grid on [0, pi).
 
-    A cheap warm-started solve runs at every grid point (each maximizer seeds
-    its neighbour, with ``fast_starts`` structured starts and ``fast_iters``
-    iterations); the ``refine_top`` best candidates are then re-solved at
-    full multistart strength and the largest refined value is reported.  The
+    One certified dual solve over the whole grid (:func:`circle_sweep`);
+    the largest grid value is reported, clamped to zero below ``tol``.  The
     deficiency is 2C-Lipschitz along the circle, so the true supremum exceeds
-    the report by at most ``width`` = C * h.
+    the report by at most ``width`` = C * h.  Raises :class:`DualNormError`
+    if any grid point cannot be certified.
     """
-    if grid_size < 64:
-        raise ValueError("grid_size below 64 gives useless enclosures")
-    seed = seed or Seed(0)
-    thetas = np.arange(grid_size) * (np.pi / grid_size)
-    defs = np.full(grid_size, -np.inf)
-    certs: list[GoodnessCertificate | None] = [None] * grid_size
-    failures = []
-    warm = None
-    for j, th in enumerate(thetas):
-        try:
-            cert = goodness(
-                spec,
-                sub.point(float(th)),
-                tol=tol,
-                seed=seed.derive("sweep", j),
-                n_starts=fast_starts,
-                max_iter=fast_iters,
-                warm_starts=warm,
-                polish=False,
-            )
-        except Exception as exc:  # recorded, never fatal for the sweep
-            failures.append((float(th), repr(exc)))
-            continue
-        defs[j] = cert.raw
-        certs[j] = cert
-        warm = cert.witness[None, :]
-
-    order = np.argsort(defs)[::-1][: max(1, refine_top)]
-    best_j, best_cert = None, None
-    best_val = -np.inf
-    for j in order:
-        if certs[j] is None:
-            continue
-        try:
-            cert = goodness(
-                spec,
-                sub.point(float(thetas[j])),
-                tol=tol,
-                seed=seed.derive("refine", int(j)),
-                n_starts=16,
-                max_iter=300,
-                warm_starts=certs[j].witness[None, :],
-            )
-        except Exception as exc:
-            failures.append((float(thetas[j]), repr(exc)))
-            cert = certs[j]  # cheap-pass value still a valid lower estimate
-        if cert.raw > best_val:
-            best_val, best_j, best_cert = cert.raw, int(j), cert
-    if best_cert is None:
-        raise RuntimeError("goodness solver failed at every grid point")
-    return WorstGoodness(
-        theta=float(thetas[best_j]),
-        deficiency=best_cert.deficiency,
-        width=float(spec.C * (np.pi / grid_size)),
-        grid_size=grid_size,
-        certificate=best_cert,
-        failures=tuple(failures),
-    )
+    return _worst(spec, _sweep(spec, sub, grid_size), tol)
 
 
 def e_set(sub: TwoDSubspace, alpha: float) -> np.ndarray:
@@ -594,17 +548,22 @@ def probe_subspace(
     tol: float = 1e-7,
     seed: Seed | None = None,
 ) -> SubspaceReport:
-    """Run the full battery on one subspace and fold it into a report."""
+    """Run the full battery on one subspace and fold it into a report.
+
+    One certified dual solve along the circle gives both the worst goodness
+    deficiency and the projection norm.  ``seed`` is accepted and ignored:
+    every probe is deterministic.
+    """
     ec = euclidean_constant(spec, sub, grid_size=max(grid_size, 256))
-    pn = projection_op_norm(spec, sub, tol=tol, seed=seed)
-    wg = worst_goodness(spec, sub, grid_size=grid_size, tol=tol, seed=seed)
+    sweep = _sweep(spec, sub, grid_size)
+    wg = _worst(spec, sweep, tol)
     sig = sigma_set(spec, sub, alpha, xi, c, beta, grid_size=max(grid_size, 256))
     return SubspaceReport(
         index=index,
         euclidean_ratio=ec.ratio,
         ratio_upper=ec.ratio_upper,
         scale_t=ec.scale_t,
-        proj_norm=pn,
+        proj_norm=float(sweep.proj_ratio.max()),
         worst_theta=wg.theta,
         worst_deficiency=wg.deficiency,
         deficiency_width=wg.width,

@@ -29,7 +29,7 @@ from normlab import (
     verify_shear_collinearity,
 )
 from normlab.norms import projection_ratio_norm
-from test_norms import diag_spec
+from test_norms import diag_spec, primal_dual_norm
 
 SQRT2 = math.sqrt(2.0)
 
@@ -69,15 +69,21 @@ def test_criterion_3_goodness_matches_projection_norm():
     spec = make_norm_spec(n, 1 / 16, Seed(910))
     rng = Seed(911).generator()
     worst = 0.0
+    worst_oracle = 0.0
     for t in range(1000):
         x = rng.standard_normal(n)
         x /= np.linalg.norm(x)
         cert = goodness(spec, x, seed=Seed(912).derive(t))
         pn = projection_ratio_norm(spec, x[:, None], seed=Seed(913).derive(t))
         worst = max(worst, abs((cert.raw + 1.0) - pn))
+        # the SLSQP primal oracle shares no code with the library's solver
+        oracle = norm(spec, x) * primal_dual_norm(spec, x)
+        worst_oracle = max(worst_oracle, abs((cert.raw + 1.0) - oracle))
     dt = time.perf_counter() - t0
-    ok = worst <= 2e-6 and dt < 120.0
-    report(3, ok, f"1000 points, worst |(deficiency+1) - ||P_x||| = {worst:.2e} <= 2e-6, {dt:.0f} s")
+    ok = worst <= 2e-6 and worst_oracle <= 2e-6 and dt < 120.0
+    report(3, ok, f"1000 points, worst |(deficiency+1) - ||P_x||| = {worst:.2e}, "
+                  f"worst |(deficiency+1) - primal oracle| = {worst_oracle:.2e}, "
+                  f"both <= 2e-6, {dt:.0f} s")
 
 
 def test_criterion_4_equivalence_inside_eigenspace():

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from normlab import (
     DualNormError,
     Frame,
     ProjectionPair,
     Seed,
+    dual_brackets,
     dual_norm,
-    dual_norm_upper_bound,
     goodness,
     make_norm_spec,
     norm,
@@ -21,6 +22,7 @@ from normlab import (
     spec_from_projection,
     support_functional,
 )
+from normlab.norms import BRACKET_TOL
 
 SQRT2 = math.sqrt(2.0)
 
@@ -37,6 +39,38 @@ def diag_spec(mask, eta):
 
 def euclidean_spec(n, eta=0.0):
     return diag_spec(np.zeros(n), eta)
+
+
+def primal_dual_norm(spec, x):
+    """Independent oracle: ||x||_* = 1 / min{ ||y|| : <x, y> = 1 }, by SLSQP.
+
+    Writing y = p - m with p, m >= 0 turns the l1 term into the linear
+    w * sum(p + m), so the objective is smooth on the feasible set.  The
+    value returned is <x, y> / ||y|| at the solver's point, a lower bound
+    on ||x||_* that does not depend on how exactly the constraint holds.
+    """
+    a, w, n = spec.A, spec.ell1_weight, x.size
+    jac = np.concatenate([x, -x])
+
+    def objective(v):
+        y = v[:n] - v[n:]
+        ay = a @ y
+        q = math.sqrt(float(y @ ay))
+        return q + w * v.sum(), np.concatenate([ay / q + w, w - ay / q])
+
+    y0 = x / (x @ x)
+    res = minimize(
+        objective,
+        np.concatenate([np.maximum(y0, 0.0), np.maximum(-y0, 0.0)]),
+        jac=True,
+        method="SLSQP",
+        bounds=[(0.0, None)] * (2 * n),
+        constraints=[{"type": "eq", "fun": lambda v: x @ (v[:n] - v[n:]) - 1.0,
+                      "jac": lambda v: jac}],
+        options={"ftol": 1e-16, "maxiter": 1000},
+    )
+    y = res.x[:n] - res.x[n:]
+    return float(x @ y) / norm(spec, y)
 
 
 # ----------------------------------------------------------------------
@@ -169,16 +203,29 @@ def test_dual_norm_weak_duality():
         assert z @ y <= val + 1e-7
 
 
-def test_dual_norm_upper_bound_dominates():
+def test_dual_bracket_encloses_value():
     rng = Seed(31).generator()
     for eta in (0.05, 0.25, 0.5):
         spec = make_norm_spec(8, eta, Seed(32))
-        for _ in range(5):
-            z = rng.standard_normal(8)
-            val, _ = dual_norm(spec, z, seed=Seed(33))
-            ub = dual_norm_upper_bound(spec, z)
-            assert ub >= val - 1e-9
-    assert dual_norm_upper_bound(spec, np.zeros(8)) == 0.0
+        z = rng.standard_normal((5, 8))
+        sol = dual_brackets(spec, z)
+        assert np.all(sol.upper - sol.lower <= BRACKET_TOL * sol.upper)
+        for i in range(5):
+            val, _ = dual_norm(spec, z[i], seed=Seed(33))
+            oracle = primal_dual_norm(spec, z[i])
+            assert sol.lower[i] - BRACKET_TOL <= val <= sol.upper[i] + BRACKET_TOL
+            assert sol.lower[i] - 1e-9 <= oracle <= sol.upper[i] + 1e-12
+    zero = dual_brackets(spec, np.zeros(8))
+    assert zero.lower[0] == zero.upper[0] == 0.0 and not zero.failed.any()
+
+
+def test_dual_norm_known_point():
+    # an ascent-based solver stopped about 1.1e-6 short here
+    spec = make_norm_spec(32, 1 / 16, Seed(1))
+    x = sample_unit_sphere(32, Seed(2), size=256)[233]
+    val, y = dual_norm(spec, x)
+    assert val == pytest.approx(0.8069890851212822, abs=1e-12)
+    assert norm(spec, y) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_dual_norm_error_carries_bracket():
@@ -308,3 +355,13 @@ def test_projection_ratio_norm_inside_eigenspace():
     got = projection_ratio_norm(spec, cols, seed=Seed(74))
     assert got == pytest.approx(1.0, abs=1e-6)
     assert got >= 1 - 1e-7  # the projection fixes its own range
+
+
+def test_projection_ratio_norm_rank_one_and_rank_limit():
+    spec = make_norm_spec(8, 0.25, Seed(75))
+    u = sample_unit_sphere(8, Seed(76))
+    val, _ = dual_norm(spec, u)
+    assert projection_ratio_norm(spec, u[:, None]) == val * norm(spec, u)
+    cols = np.linalg.qr(Seed(77).generator().standard_normal((8, 3)))[0]
+    with pytest.raises(ValueError):
+        projection_ratio_norm(spec, cols)

@@ -5,11 +5,13 @@ import pytest
 from dataclasses import replace
 
 from normlab import (
+    DualNormError,
     Seed,
     closeness_to_eigenspaces,
     cyclic_interval_signs,
     e_set,
     euclidean_constant,
+    goodness,
     make_norm_spec,
     norm,
     probe_subspace,
@@ -23,6 +25,7 @@ from normlab import (
     typical_check,
     worst_goodness,
 )
+from normlab.cli import EXIT_NO_CONVERGENCE, main
 from test_norms import diag_spec, euclidean_spec
 
 SQRT2 = math.sqrt(2.0)
@@ -131,17 +134,26 @@ def test_euclidean_constant_mixed_ratio_sqrt2():
 def test_projection_op_norm_cases():
     spec = euclidean_spec(6)
     sub = sample_two_d_subspace(6, Seed(10))
-    assert projection_op_norm(spec, sub, seed=Seed(11)) == pytest.approx(1.0, abs=1e-7)
+    assert projection_op_norm(spec, sub) == pytest.approx(1.0, abs=1e-7)
 
     spec_p = make_norm_spec(8, 0.0, Seed(12), rank=4)
     sub_p = sample_two_d_subspace(8, Seed(13), within=spec_p.proj.basis)
-    assert projection_op_norm(spec_p, sub_p, seed=Seed(14)) == pytest.approx(
+    assert projection_op_norm(spec_p, sub_p) == pytest.approx(
         1.0, abs=1e-6
     )
 
     spec_r = make_norm_spec(8, 0.25, Seed(15))
     sub_r = sample_two_d_subspace(8, Seed(16))
-    assert projection_op_norm(spec_r, sub_r, seed=Seed(17)) >= 1 - 1e-7
+    assert projection_op_norm(spec_r, sub_r) >= 1 - 1e-7
+
+
+def test_projection_op_norm_regression_point():
+    # a 16-start ascent stopped at 1.0569898013 here
+    spec = make_norm_spec(32, 1 / 16, Seed(60))
+    sub = sample_two_d_subspace(32, Seed(70))
+    coarse = projection_op_norm(spec, sub)
+    assert coarse >= 1.0585910587 - 1e-9
+    assert 0.0 <= projection_op_norm(spec, sub, grid_size=4096) - coarse <= 1e-6
 
 
 # ----------------------------------------------------------------------
@@ -162,7 +174,7 @@ def test_worst_goodness_flat_cases():
 
 def test_worst_goodness_mixed_frozen_value():
     spec, sub = mixed_pq_subspace()
-    wg = worst_goodness(spec, sub, grid_size=512, seed=Seed(23))
+    wg = worst_goodness(spec, sub, grid_size=512)
     assert wg.deficiency == pytest.approx(3 / (2 * SQRT2) - 1, abs=1e-9)
     # two symmetric maximizers on [0, pi)
     assert min(abs(wg.theta - np.pi / 4), abs(wg.theta - 3 * np.pi / 4)) < 1e-9
@@ -174,9 +186,40 @@ def test_worst_goodness_mixed_frozen_value():
 def test_worst_goodness_deterministic():
     spec = make_norm_spec(12, 1 / 16, Seed(24))
     sub = sample_two_d_subspace(12, Seed(25))
-    a = worst_goodness(spec, sub, grid_size=128, seed=Seed(26))
-    b = worst_goodness(spec, sub, grid_size=128, seed=Seed(26))
+    a = worst_goodness(spec, sub, grid_size=128)
+    b = worst_goodness(spec, sub, grid_size=128)
     assert a.deficiency == b.deficiency and a.theta == b.theta
+
+
+def test_worst_goodness_matches_pointwise_goodness():
+    spec = make_norm_spec(12, 1 / 16, Seed(27))
+    sub = sample_two_d_subspace(12, Seed(28))
+    wg = worst_goodness(spec, sub, grid_size=128)
+    cert = goodness(spec, sub.point(wg.theta))
+    assert wg.deficiency == pytest.approx(cert.deficiency, abs=1e-12)
+    assert wg.certificate.raw == pytest.approx(cert.raw, abs=1e-12)
+
+
+def test_uncertified_sweep_raises_and_exits_three(monkeypatch, tmp_path):
+    import normlab.norms as norms
+
+    solve = norms.dual_brackets
+
+    def wide(spec, z):
+        sol = solve(spec, z)
+        return norms.DualBracket(sol.lower, sol.upper + 1e-3, sol.witness)
+
+    monkeypatch.setattr(norms, "dual_brackets", wide)
+    spec = make_norm_spec(12, 1 / 16, Seed(29))
+    sub = sample_two_d_subspace(12, Seed(30))
+    with pytest.raises(DualNormError) as ei:
+        goodness(spec, sub.u)
+    assert ei.value.upper - ei.value.lower == pytest.approx(1e-3)
+    with pytest.raises(DualNormError):
+        worst_goodness(spec, sub, grid_size=128)
+    args = ["probe-subspaces", "--n", "8", "--subspaces", "1", "--grid", "256",
+            "--out", str(tmp_path / "probe.json")]
+    assert main(args) == EXIT_NO_CONVERGENCE
 
 
 # ----------------------------------------------------------------------
