@@ -31,7 +31,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .exactparams import ParameterSet, UndecidableConditionError, check_parameter_chain
+from .exactparams import UndecidableConditionError
 from .lemmas import (
     LemmaReport,
     mc_subspace_volume,
@@ -48,7 +48,7 @@ from .lemmas import (
     verify_support_characterization,
     verify_typicality_probability,
 )
-from .linalg import Frame, ProjectionPair, Seed, sample_frame, sample_unit_sphere
+from .linalg import Frame, Seed, sample_frame, sample_unit_sphere
 from .norms import DualNormError, make_norm_spec, norm
 from .subspaces import probe_subspace, sample_two_d_subspace, sigma_set
 
@@ -160,7 +160,7 @@ def _subspace_section(opts: dict) -> dict:
     }
 
 
-def _lemma_battery(opts: dict) -> list[LemmaReport]:
+def _lemma_battery(opts: dict) -> list[dict]:
     n, eta = int(opts["n"]), float(opts["eta"])
     trials = max(1000, int(opts["trials"]))
     seed = Seed(int(opts["seed"]), stream=3)
@@ -179,12 +179,7 @@ def _lemma_battery(opts: dict) -> list[LemmaReport]:
     reports.append(
         verify_support_characterization(spec, x, delta=0.5, seed=seed.derive("sc"))
     )
-    edge = ProjectionPair(
-        P=np.diag([1.0, 0.0]),
-        Q=np.diag([0.0, 1.0]),
-        rank=1,
-        basis=Frame(np.array([[1.0], [0.0]])),
-    )
+    edge = Frame(np.array([[1.0], [0.0]]))
     y = np.array([1.0, 1.0]) / math.sqrt(2)
     reports.append(verify_approx_eigenvector(edge, y, nu=1.5))
     reports.append(mc_subspace_volume(8, 4, 0.25, trials, seed.derive("vol")))
@@ -224,23 +219,23 @@ def _lemma_battery(opts: dict) -> list[LemmaReport]:
         verify_frame_escape(4, max(8, n // 2), min(trials, 20_000), seed.derive("fe"))
     )
     if n >= 8:
-        analysis = sigma_set(spec, sub, alpha=1.0, xi=0.05, c=0.25, beta=0.125)
+        analysis = sigma_set(sub, alpha=1.0, xi=0.05, c=0.25, beta=0.125)
         w4 = sample_frame(n, 4, seed.derive("w4"))
         reports.append(verify_sigma_spread(analysis, sub, w4))
     reports.append(run_parameter_chain())
-    return reports
+    return _lemma_rows(reports)
 
 
-def _mc_section(opts: dict) -> list[LemmaReport]:
+def _mc_section(opts: dict) -> list[dict]:
     trials = max(1000, int(opts["trials"]))
     seed = Seed(int(opts["seed"]), stream=4)
-    return [
+    return _lemma_rows([
         mc_subspace_volume(2, 1, 0.1, trials, seed.derive("vol-2")),
         mc_subspace_volume(8, 4, 0.25, trials, seed.derive("vol-8")),
         small_support_incidence(6, 3, 1, 0.3, "support", trials, seed.derive("ss")),
         small_support_incidence(6, 3, 1, 0.3, "distinct", trials, seed.derive("sd")),
         verify_range_support_gap(8, trials, seed.derive("rg"), gamma=0.01),
-    ]
+    ])
 
 
 def _params_section() -> dict:
@@ -263,17 +258,61 @@ def _lemma_rows(reports: list[LemmaReport]) -> list[dict]:
     return rows
 
 
-def _summary(lemmas: list[LemmaReport], extra_failures: int = 0) -> dict:
-    applicable = [r for r in lemmas if r.applicable]
-    failed = [r.lemma_id for r in applicable if not r.passed]
+def _summary(rows: list[dict], extra_failures: int = 0) -> dict:
+    applicable = [r for r in rows if r["applicable"]]
+    failed = [r["lemma_id"] for r in applicable if not r["passed"]]
     return {
-        "checks_total": len(lemmas),
+        "checks_total": len(rows),
         "checks_applicable": len(applicable),
-        "checks_passed": sum(r.passed for r in applicable),
+        "checks_passed": sum(r["passed"] for r in applicable),
         "failed_ids": failed,
-        "not_applicable_ids": [r.lemma_id for r in lemmas if not r.applicable],
+        "not_applicable_ids": [r["lemma_id"] for r in rows if not r["applicable"]],
         "ok": not failed and extra_failures == 0,
     }
+
+
+def _sandwich_ok(sandwich: dict) -> bool:
+    return sandwich["lower_slack"] >= -1e-9 and sandwich["upper_slack"] >= -1e-9
+
+
+def _run_summary(sections: dict) -> dict:
+    sandwich_ok = _sandwich_ok(sections["sandwich"])
+    summary = _summary(sections["lemmas"], extra_failures=0 if sandwich_ok else 1)
+    summary["sandwich_ok"] = sandwich_ok
+    return summary
+
+
+def _floor_summary(sections: dict) -> dict:
+    floor = sections["subspaces"]["floor"]
+    return {"ok": floor is not None and floor > 0, "floor": floor}
+
+
+# subcommand -> ((report key, section function), ...), summary rule; the
+# summary's "ok" decides the exit code
+_COMMANDS = {
+    "run": (
+        (("sandwich", _sandwich_section), ("subspaces", _subspace_section),
+         ("lemmas", _lemma_battery)),
+        _run_summary,
+    ),
+    "sample-norm": (
+        (("sandwich", _sandwich_section),),
+        lambda sec: {"ok": _sandwich_ok(sec["sandwich"])},
+    ),
+    "probe-subspaces": ((("subspaces", _subspace_section),), _floor_summary),
+    "verify-lemmas": (
+        (("lemmas", _lemma_battery),),
+        lambda sec: _summary(sec["lemmas"]),
+    ),
+    "check-params": (
+        (("parameters", lambda _opts: _params_section()),),
+        lambda sec: {"ok": sec["parameters"]["passed"]},
+    ),
+    "mc-bounds": (
+        (("lemmas", _mc_section),),
+        lambda sec: _summary(sec["lemmas"]),
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -329,112 +368,27 @@ def _emit(report: dict, opts: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommand drivers
+# running a subcommand
 # ---------------------------------------------------------------------------
 
-def _cmd_run(opts: dict) -> int:
+def _run_command(command: str, opts: dict) -> int:
+    """Build the command's sections, wrap them in the report envelope, emit."""
     t0 = time.perf_counter()
-    sandwich = _sandwich_section(opts)
-    subspaces = _subspace_section(opts)
-    lemmas = _lemma_battery(opts)
-    sandwich_ok = sandwich["lower_slack"] >= -1e-9 and sandwich["upper_slack"] >= -1e-9
-    summary = _summary(lemmas, extra_failures=0 if sandwich_ok else 1)
-    summary["sandwich_ok"] = sandwich_ok
+    builders, summarize = _COMMANDS[command]
+    sections = {key: build(opts) for key, build in builders}
+    summary = summarize(sections)
     report = {
         "version": __version__,
-        "config": {k: opts[k] for k in sorted(_DEFAULTS)},
-        "sandwich": sandwich,
-        "subspaces": subspaces,
-        "lemmas": _lemma_rows(lemmas),
+        # the parameter chain reads no option, so its report records none
+        "config": (
+            {} if command == "check-params" else {k: opts[k] for k in sorted(_DEFAULTS)}
+        ),
+        **sections,
         "summary": summary,
         "timing": {"seconds": time.perf_counter() - t0},
     }
     _emit(report, opts)
     return EXIT_OK if summary["ok"] else EXIT_CHECK_FAILED
-
-
-def _cmd_sample_norm(opts: dict) -> int:
-    t0 = time.perf_counter()
-    sandwich = _sandwich_section(opts)
-    ok = sandwich["lower_slack"] >= -1e-9 and sandwich["upper_slack"] >= -1e-9
-    report = {
-        "version": __version__,
-        "config": {k: opts[k] for k in sorted(_DEFAULTS)},
-        "sandwich": sandwich,
-        "summary": {"ok": ok},
-        "timing": {"seconds": time.perf_counter() - t0},
-    }
-    _emit(report, opts)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
-
-
-def _cmd_probe_subspaces(opts: dict) -> int:
-    t0 = time.perf_counter()
-    section = _subspace_section(opts)
-    ok = section["floor"] is not None and section["floor"] > 0
-    report = {
-        "version": __version__,
-        "config": {k: opts[k] for k in sorted(_DEFAULTS)},
-        "subspaces": section,
-        "summary": {"ok": ok, "floor": section["floor"]},
-        "timing": {"seconds": time.perf_counter() - t0},
-    }
-    _emit(report, opts)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
-
-
-def _cmd_verify_lemmas(opts: dict) -> int:
-    t0 = time.perf_counter()
-    lemmas = _lemma_battery(opts)
-    summary = _summary(lemmas)
-    report = {
-        "version": __version__,
-        "config": {k: opts[k] for k in sorted(_DEFAULTS)},
-        "lemmas": _lemma_rows(lemmas),
-        "summary": summary,
-        "timing": {"seconds": time.perf_counter() - t0},
-    }
-    _emit(report, opts)
-    return EXIT_OK if summary["ok"] else EXIT_CHECK_FAILED
-
-
-def _cmd_check_params(opts: dict) -> int:
-    t0 = time.perf_counter()
-    section = _params_section()
-    report = {
-        "version": __version__,
-        "config": {},
-        "parameters": section,
-        "summary": {"ok": section["passed"]},
-        "timing": {"seconds": time.perf_counter() - t0},
-    }
-    _emit(report, opts)
-    return EXIT_OK if section["passed"] else EXIT_CHECK_FAILED
-
-
-def _cmd_mc_bounds(opts: dict) -> int:
-    t0 = time.perf_counter()
-    lemmas = _mc_section(opts)
-    summary = _summary(lemmas)
-    report = {
-        "version": __version__,
-        "config": {k: opts[k] for k in sorted(_DEFAULTS)},
-        "lemmas": _lemma_rows(lemmas),
-        "summary": summary,
-        "timing": {"seconds": time.perf_counter() - t0},
-    }
-    _emit(report, opts)
-    return EXIT_OK if summary["ok"] else EXIT_CHECK_FAILED
-
-
-_COMMANDS = {
-    "run": _cmd_run,
-    "sample-norm": _cmd_sample_norm,
-    "probe-subspaces": _cmd_probe_subspaces,
-    "verify-lemmas": _cmd_verify_lemmas,
-    "check-params": _cmd_check_params,
-    "mc-bounds": _cmd_mc_bounds,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -473,7 +427,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     try:
-        return _COMMANDS[args.command](opts)
+        return _run_command(args.command, opts)
     except (DualNormError, UndecidableConditionError) as exc:
         print(f"solver could not certify its result: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE

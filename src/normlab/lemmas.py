@@ -308,10 +308,11 @@ def verify_support_characterization(
 # ---------------------------------------------------------------------------
 
 def verify_approx_eigenvector(
-    proj, y: np.ndarray, nu: float, tol: float = 1e-12
+    basis: Frame, y: np.ndarray, nu: float, tol: float = 1e-12
 ) -> LemmaReport:
     """Near-eigenvectors of I + P cling to one of the eigenspaces.
 
+    P is the orthogonal projection onto the span of ``basis`` and Q = I - P.
     With tau = |(I + P) y - nu y|^2 at most 1/4 for unit y, one of
     |Py|^2, |Qy|^2 must be at most 2 tau.  The exact split identity
     tau = (2 - nu)^2 |Py|^2 + (1 - nu)^2 |Qy|^2 is recorded alongside.
@@ -319,7 +320,8 @@ def verify_approx_eigenvector(
     y = np.asarray(y, dtype=float)
     if abs(np.linalg.norm(y) - 1.0) > 1e-10:
         raise ValueError("y must be a unit vector")
-    py = proj.P @ y
+    u = basis.columns
+    py = u @ (u.T @ y)
     qy = y - py
     ay = y + py
     tau = float(np.sum((ay - nu * y) ** 2))

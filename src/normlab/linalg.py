@@ -1,42 +1,28 @@
-"""Randomized linear-algebra substrate: seeded streams, Haar projections, nets.
+"""Randomized linear-algebra substrate: seeded streams and Haar frames.
 
 Everything downstream (norm construction, subspace probes, Monte Carlo
 verifiers) draws its randomness through :class:`Seed` so that every run is
 reproducible bit for bit.  The geometric primitives kept here are the ones
-with clean, independently checkable contracts: orthogonal projections sampled
-from the rotation-invariant ensemble, distances to subspaces, greedy covering
-nets with an explicit covering certificate, and the exact distribution of the
-distance from a random unit vector to a fixed subspace.
+with clean, independently checkable contracts: orthonormal frames sampled
+from the rotation-invariant ensemble (a frame U carries the orthogonal
+projection U U^T onto its span), uniform points of the sphere, and the exact
+distribution of the distance from a random unit vector to a fixed subspace.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import betainc
 
 # Tolerances used by constructor validation.  These mirror the contracts the
 # test suite enforces; they are deliberately loose multiples of float epsilon.
-IDEMPOTENCY_TOL = 1e-10   # scaled by n for ||P @ P - P||_F
-TRACE_TOL = 1e-8
 ORTHONORMALITY_TOL = 1e-10
 UNIT_TOL = 1e-12
 
 _MASK64 = (1 << 64) - 1
-
-
-class NetBudgetError(RuntimeError):
-    """Greedy net construction exceeded its cardinality budget."""
-
-    def __init__(self, m: int, gamma: float, budget: int, size: int):
-        super().__init__(
-            f"net on a {m}-dimensional sphere at resolution {gamma} grew to "
-            f"{size} points, past the budget of {budget}; refusing to truncate"
-        )
-        self.budget = budget
-        self.size = size
 
 
 @dataclass(frozen=True)
@@ -95,37 +81,6 @@ class Frame:
         return self.columns.shape[1]
 
 
-@dataclass(frozen=True)
-class ProjectionPair:
-    """Complementary orthogonal projections P and Q = I - P.
-
-    ``basis`` holds an orthonormal basis of range(P); it is what the sampler
-    actually draws, with P assembled from it.  Q is stored as the exact
-    floating-point difference I - P, so P + Q == I holds bit for bit.
-    """
-
-    P: np.ndarray
-    Q: np.ndarray
-    rank: int
-    basis: Frame
-
-    def __post_init__(self):
-        n = self.P.shape[0]
-        if self.P.shape != (n, n) or self.Q.shape != (n, n):
-            raise ValueError("projection matrices must be square and same shape")
-        if not np.array_equal(self.P + self.Q, np.eye(n)):
-            raise ValueError("Q must be stored as the exact complement I - P")
-        resid = np.linalg.norm(self.P @ self.P - self.P)
-        if resid > IDEMPOTENCY_TOL * n:
-            raise ValueError(f"P fails idempotency: residual {resid:.3e}")
-        if abs(np.trace(self.P) - self.rank) > TRACE_TOL:
-            raise ValueError("trace of P does not match the declared rank")
-
-    @property
-    def n(self) -> int:
-        return self.P.shape[0]
-
-
 def _haar_frame(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """Orthonormal n x k frame from the rotation-invariant ensemble.
 
@@ -138,20 +93,6 @@ def _haar_frame(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
     return q * signs
-
-
-def sample_projection(n: int, rank: int, seed: Seed) -> ProjectionPair:
-    """Draw a rank-``rank`` orthogonal projection on R^n, rotation invariant."""
-    if not 1 <= rank <= n:
-        raise ValueError("rank must satisfy 1 <= rank <= n")
-    if rank == n:
-        eye = np.eye(n)
-        return ProjectionPair(P=eye, Q=np.zeros((n, n)), rank=n, basis=Frame(eye))
-    u = _haar_frame(n, rank, seed.generator())
-    p = u @ u.T
-    p = (p + p.T) / 2.0  # enforce exact symmetry
-    q = np.eye(n) - p
-    return ProjectionPair(P=p, Q=q, rank=rank, basis=Frame(u))
 
 
 def sample_frame(n: int, k: int, seed: Seed) -> Frame:
@@ -175,124 +116,6 @@ def sample_unit_sphere(n: int, seed: Seed, size: int | None = None) -> np.ndarra
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
-def distance_to_subspace(x: np.ndarray, frame: Frame | None) -> float:
-    """Euclidean distance from x to the span of the frame's columns.
-
-    A ``None`` or zero-column frame denotes the zero subspace, so the
-    distance is just ``|x|``.
-    """
-    x = np.asarray(x, dtype=float)
-    if frame is None or frame.dim == 0:
-        return float(np.linalg.norm(x))
-    cols = frame.columns
-    return float(np.linalg.norm(x - cols @ (cols.T @ x)))
-
-
-@dataclass(frozen=True)
-class GammaNet:
-    """Covering net of a unit sphere inside a subspace, with certificate.
-
-    ``points`` are unit vectors of R^n lying in the subspace.  The covering
-    certificate records how many random unit points of the subspace were
-    tested and the largest distance any of them had to the net; the net only
-    counts as covering when that distance is at most gamma.
-    """
-
-    points: np.ndarray        # (N, n), rows unit
-    gamma: float
-    budget: int
-    certificate_trials: int
-    certificate_max_dist: float
-    covering_certified: bool
-    coords: np.ndarray = field(repr=False, default=None)  # (N, m) rows in frame coords
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-
-def gamma_net(
-    m: int,
-    gamma: float,
-    frame: Frame,
-    seed: Seed,
-    certificate_trials: int = 100_000,
-) -> GammaNet:
-    """Greedy gamma-net of the unit sphere of an m-dimensional subspace.
-
-    Random candidates are scanned and kept whenever they sit farther than
-    gamma from everything kept so far, which yields a gamma-separated set;
-    saturation makes it a covering net, and the covering property is then
-    certified by rejection on ``certificate_trials`` fresh random unit points
-    (any uncovered point found is absorbed and certification restarts).
-    Cardinality above ceil((3/gamma)^m) raises :class:`NetBudgetError`.
-    """
-    if m != frame.dim:
-        raise ValueError("declared dimension does not match the frame")
-    if not 0 < gamma <= 2:
-        raise ValueError("gamma must lie in (0, 2]")
-    budget = int(np.ceil((3.0 / gamma) ** m))
-    rng = seed.generator()
-
-    def unit_batch(count: int) -> np.ndarray:
-        g = rng.standard_normal((count, m))
-        return g / np.linalg.norm(g, axis=1, keepdims=True)
-
-    kept: list[np.ndarray] = []
-
-    def absorb(batch: np.ndarray) -> int:
-        added = 0
-        for cand in batch:
-            if not kept:
-                kept.append(cand)
-                added += 1
-                continue
-            arr = np.asarray(kept)
-            if np.min(np.linalg.norm(arr - cand, axis=1)) > gamma:
-                kept.append(cand)
-                added += 1
-                if len(kept) > budget:
-                    raise NetBudgetError(m, gamma, budget, len(kept))
-        return added
-
-    # Saturation phase: batches until a full batch adds nothing.
-    batch_size = max(2048, 64 * budget if budget < 4096 else 2048)
-    while absorb(unit_batch(batch_size)) > 0:
-        pass
-
-    # Certification phase, absorbing any stragglers and retrying.
-    max_dist = 0.0
-    for _attempt in range(8):
-        probes = unit_batch(certificate_trials)
-        arr = np.asarray(kept)
-        # distance matrix in subspace coordinates; chunked to bound memory
-        max_dist = 0.0
-        worst: np.ndarray | None = None
-        for lo in range(0, certificate_trials, 8192):
-            chunk = probes[lo : lo + 8192]
-            d = np.linalg.norm(chunk[:, None, :] - arr[None, :, :], axis=2)
-            nearest = d.min(axis=1)
-            i = int(np.argmax(nearest))
-            if nearest[i] > max_dist:
-                max_dist = float(nearest[i])
-                worst = chunk[i]
-        if max_dist <= gamma:
-            break
-        absorb(np.asarray([worst]))
-    certified = max_dist <= gamma
-
-    coords = np.asarray(kept)
-    points = coords @ frame.columns.T
-    return GammaNet(
-        points=points,
-        gamma=gamma,
-        budget=budget,
-        certificate_trials=certificate_trials,
-        certificate_max_dist=max_dist,
-        covering_certified=certified,
-        coords=coords,
-    )
-
-
 def subspace_incidence_probability(n: int, m: int, gamma: float) -> float:
     """Exact P[d(x, Y) <= gamma] for uniform unit x and a fixed m-dim Y.
 
@@ -305,16 +128,3 @@ def subspace_incidence_probability(n: int, m: int, gamma: float) -> float:
     if not 0 <= gamma <= 1:
         raise ValueError("gamma must lie in [0, 1]")
     return float(betainc((n - m) / 2.0, m / 2.0, gamma * gamma))
-
-
-def principal_sine(frame_a: np.ndarray, frame_b: np.ndarray) -> float:
-    """sin of the smallest principal angle between two spanned subspaces.
-
-    Arguments are orthonormal column blocks.  The smallest principal angle
-    theta_1 has cos(theta_1) equal to the largest singular value of A^T B,
-    and sin(theta_1) equals the smallest possible distance from a unit vector
-    of span(A) to span(B).
-    """
-    s = np.linalg.svd(frame_a.T @ frame_b, compute_uv=False)
-    c = min(1.0, float(s[0]) if s.size else 0.0)
-    return float(np.sqrt(max(0.0, 1.0 - c * c)))

@@ -4,9 +4,12 @@ The norm studied here is
 
     ||x|| = sqrt(<x, (I + P) x>) + eta * n**-0.5 * sum_i |x_i|
 
-for an orthogonal projection P of roughly half rank.  The quadratic part
-alone is written ``norm_A``.  The Euclidean norm sandwiches ||.|| between
-|x| and (sqrt(2) + eta)|x|, so every dual-side quantity (dual norms, goodness
+for an orthogonal projection P of roughly half rank.  The norm is stored as
+an orthonormal basis U (n x rank) of range(P) and nothing else: P y =
+U (U^T y), and A = I + P and its exact inverse I - P/2 are applied through
+U, so no n x n matrix is ever formed.  The quadratic part alone is written
+``norm_A``.  The Euclidean norm sandwiches ||.|| between |x| and
+(sqrt(2) + eta)|x|, so every dual-side quantity (dual norms, goodness
 deficiencies, projection norms) is well conditioned.
 
 The dual of a sum of norms is the inf-convolution of their duals
@@ -18,10 +21,11 @@ is exactly I - P/2, and w = eta / sqrt(n):
 :func:`dual_brackets` solves this for every row of a matrix at once: a
 bisection on t, each level a box-constrained quadratic program in r.
 Projected gradient with step 1/2 contracts that program by exactly 1/2 per
-step, because I - A^-1 = P/2.  Each row comes back with a two-sided
-bracket.  The split (z - r, r) bounds the dual norm from above, and the
-witness y = A^-1 (z - r), evaluated with :func:`norm`, bounds it from below
-by <z, y> / ||y||.  A bracket wider than ``BRACKET_TOL`` raises
+step, because I - A^-1 = P/2; one step is r <- z - P (z - r) / 2, clipped
+to the box.  Each row comes back with a two-sided bracket.  The split
+(z - r, r) bounds the dual norm from above, and the witness
+y = A^-1 (z - r), evaluated with :func:`norm`, bounds it from below by
+<z, y> / ||y||.  A bracket wider than ``BRACKET_TOL`` raises
 :class:`DualNormError` where it is used.  For eta = 0 the closed form
 sqrt(<z, A^-1 z>) is exact.
 
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ProjectionPair, Seed, sample_projection
+from .linalg import Frame, Seed, sample_frame
 
 GOODNESS_TOL = 1e-7   # deficiencies below this are reported as zero
 BRACKET_TOL = 1e-12   # widest accepted dual bracket, relative to its upper end
@@ -60,22 +64,21 @@ class DualNormError(RuntimeError):
 class NormSpec:
     """Frozen description of one sampled norm.
 
-    ``A`` is I + P and ``Ainv`` its exact inverse I - P/2.  ``C`` is the
-    Euclidean distortion bound sqrt(2) + eta: |x| <= ||x|| <= C |x| for all x.
+    ``basis`` is an orthonormal basis U of range(P), the whole of the
+    projection: P = U U^T is never formed.  ``C`` is the Euclidean distortion
+    bound sqrt(2) + eta: |x| <= ||x|| <= C |x| for all x.
     """
 
     n: int
     eta: float
-    proj: ProjectionPair
-    A: np.ndarray
-    Ainv: np.ndarray
+    basis: Frame
     C: float
 
     def __post_init__(self):
         if self.eta < 0:
             raise ValueError("eta must be nonnegative")
-        if self.proj.n != self.n:
-            raise ValueError("projection dimension does not match n")
+        if self.basis.n != self.n:
+            raise ValueError("basis dimension does not match n")
 
     @property
     def ell1_weight(self) -> float:
@@ -90,26 +93,40 @@ class NormSpec:
 def make_norm_spec(
     n: int, eta: float, seed: Seed, rank: int | None = None
 ) -> NormSpec:
-    """Sample a projection and assemble the norm; rank defaults to floor(n/2)."""
+    """Sample a Haar basis of range(P) and assemble the norm.
+
+    ``rank`` defaults to floor(n/2).
+    """
     if rank is None:
         rank = n // 2
-    proj = sample_projection(n, rank, seed.derive("projection"))
-    return spec_from_projection(proj, eta)
+    return spec_from_basis(sample_frame(n, rank, seed.derive("projection")), eta)
 
 
-def spec_from_projection(proj: ProjectionPair, eta: float) -> NormSpec:
-    n = proj.n
-    a = np.eye(n) + proj.P
-    ainv = np.eye(n) - proj.P / 2.0
-    return NormSpec(
-        n=n, eta=float(eta), proj=proj, A=a, Ainv=ainv, C=float(np.sqrt(2.0) + eta)
-    )
+def spec_from_basis(basis: Frame, eta: float) -> NormSpec:
+    """The norm whose projection P is onto the span of ``basis``."""
+    return NormSpec(n=basis.n, eta=float(eta), basis=basis, C=float(np.sqrt(2.0) + eta))
+
+
+def _project(spec: NormSpec, y: np.ndarray) -> np.ndarray:
+    """P y = U (U^T y) for a vector or for every row of a stack."""
+    u = spec.basis.columns
+    return (y @ u) @ u.T
+
+
+def _apply_A(spec: NormSpec, y: np.ndarray) -> np.ndarray:
+    """A y = y + P y."""
+    return y + _project(spec, y)
+
+
+def _apply_Ainv(spec: NormSpec, y: np.ndarray) -> np.ndarray:
+    """A^-1 y = y - P y / 2, exact since P is idempotent."""
+    return y - _project(spec, y) / 2.0
 
 
 def norm_A(spec: NormSpec, x: np.ndarray) -> float | np.ndarray:
     """Quadratic part sqrt(<x, A x>).  Accepts a vector or a stack of rows."""
     x = np.asarray(x, dtype=float)
-    quad = np.einsum("...i,...i->...", x, x @ spec.A)
+    quad = np.einsum("...i,...i->...", x, _apply_A(spec, x))
     out = np.sqrt(np.maximum(quad, 0.0))
     return float(out) if out.ndim == 0 else out
 
@@ -125,7 +142,7 @@ def norm(spec: NormSpec, x: np.ndarray) -> float | np.ndarray:
 def norm_subgradient(spec: NormSpec, x: np.ndarray) -> np.ndarray:
     """A subgradient of the norm at x, using sign(0) = 0 at kinks."""
     na = norm_A(spec, x)
-    quad_part = (x @ spec.A) / na if na > 0 else np.zeros_like(x)
+    quad_part = _apply_A(spec, x) / na if na > 0 else np.zeros_like(x)
     return quad_part + spec.ell1_weight * np.sign(x)
 
 
@@ -160,10 +177,17 @@ def _unit_rows(spec: NormSpec, y: np.ndarray) -> np.ndarray:
     return y / np.where(ny > 0, ny, 1.0)[:, None]
 
 
-def _box_qp(z, r, radius, ainv, steps):
-    """Projected gradient, step 1/2, on min (z - r)^T A^-1 (z - r), |r| <= radius."""
+def _box_qp(spec, z, r, radius, steps):
+    """Projected gradient, step 1/2, on min (z - r)^T A^-1 (z - r), |r| <= radius.
+
+    The step r + A^-1 (z - r) is written z - P (z - r) / 2, with U^T / 2
+    copied once to a C-ordered array: the product with a transposed view is
+    slower.
+    """
+    u = spec.basis.columns
+    half_ut = np.ascontiguousarray(u.T) / 2.0
     for _ in range(steps):
-        r_next = np.clip(r + (z - r) @ ainv, -radius, radius)
+        r_next = np.clip(z - ((z - r) @ u) @ half_ut, -radius, radius)
         if np.array_equal(r_next, r):
             break
         r = r_next
@@ -179,10 +203,9 @@ def dual_brackets(spec: NormSpec, z: np.ndarray) -> DualBracket:
     wide bracket: callers decide with :meth:`DualBracket.check`.
     """
     z = np.atleast_2d(np.asarray(z, dtype=float))
-    ainv = spec.Ainv
     w = spec.ell1_weight
     if w == 0:
-        y = z @ ainv
+        y = _apply_Ainv(spec, z)
         val = np.sqrt(np.maximum(np.einsum("ij,ij->i", z, y), 0.0))
         return DualBracket(lower=val, upper=val, witness=_unit_rows(spec, y))
 
@@ -191,17 +214,17 @@ def dual_brackets(spec: NormSpec, z: np.ndarray) -> DualBracket:
     r = np.zeros_like(z)
     for _ in range(_BISECT_STEPS):
         t = 0.5 * (lo + hi)
-        r = _box_qp(z, r, (w * t)[:, None], ainv, _INNER_STEPS)
+        r = _box_qp(spec, z, r, (w * t)[:, None], _INNER_STEPS)
         resid = z - r
-        feasible = np.einsum("ij,ij->i", resid, resid @ ainv) <= t * t
+        feasible = np.einsum("ij,ij->i", resid, _apply_Ainv(spec, resid)) <= t * t
         hi = np.where(feasible, t, hi)
         lo = np.where(feasible, lo, t)
         if np.all(hi - lo <= np.finfo(float).eps * hi):
             break
     radius = (w * hi)[:, None]
-    r = _box_qp(z, np.clip(r, -radius, radius), radius, ainv, _POLISH_STEPS)
+    r = _box_qp(spec, z, np.clip(r, -radius, radius), radius, _POLISH_STEPS)
     resid = z - r
-    y = resid @ ainv
+    y = _apply_Ainv(spec, resid)
     quad = np.sqrt(np.maximum(np.einsum("ij,ij->i", resid, y), 0.0))
     witness = _unit_rows(spec, y)
     return DualBracket(
@@ -253,7 +276,7 @@ def support_functional(
     live = x != 0
     if np.any(s[live] != np.sign(x[live])):
         raise ValueError("sign choice must match sign(x) on nonzero coordinates")
-    f = (x @ spec.A) / norm_A(spec, x) + spec.ell1_weight * s
+    f = _apply_A(spec, x) / norm_A(spec, x) + spec.ell1_weight * s
     return SupportFunctional(x=x, f=f, sign_choice=s)
 
 

@@ -17,7 +17,7 @@ an explicit width.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,12 +28,10 @@ from .norms import (
     NormSpec,
     circle_sweep,
     norm,
-    norm_A,
     projection_ratio_norm,
 )
 
 _ORTHO_TOL = 1e-10
-_UNIT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -260,9 +258,7 @@ class SignSetAnalysis:
     centrally symmetric beta-separated subset, stored with the k pair
     representatives (in grid order) first and their k antipodes after, so
     ``V[:k]`` are the representatives and len(V) == 2 k.  ``kappa`` is the
-    realized covering radius of V over the samples and ``kappa_level`` the
-    guaranteed net radius (beta on construction, growing fourfold per
-    pruning round).
+    realized covering radius of V over the samples.
     """
 
     sigma_samples: np.ndarray      # (T, n)
@@ -271,11 +267,9 @@ class SignSetAnalysis:
     v_thetas: np.ndarray           # (2k,)
     k: int
     kappa: float
-    kappa_level: float
     beta: float
     e_indices: np.ndarray
     empty: bool
-    prune_rounds: int = 0
 
     @property
     def n(self) -> int:
@@ -294,7 +288,6 @@ def _pair_min_dist(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def sigma_set(
-    spec: NormSpec,
     sub: TwoDSubspace,
     alpha: float,
     xi: float,
@@ -331,7 +324,6 @@ def sigma_set(
             v_thetas=np.zeros(0),
             k=0,
             kappa=math.inf,
-            kappa_level=beta,
             beta=beta,
             e_indices=e,
             empty=True,
@@ -343,7 +335,9 @@ def sigma_set(
     for j in range(sam.shape[0]):
         if all(_pair_min_dist(sam[j], sam[i]) >= beta for i in reps):
             reps.append(j)
-    v, vth = _symmetrize(sam[reps], ths[reps])
+    # antipodes after the representatives, their thetas shifted by pi
+    v = np.vstack([sam[reps], -sam[reps]])
+    vth = np.concatenate([ths[reps], np.mod(ths[reps] + np.pi, 2 * np.pi)])
     d = np.linalg.norm(sam[:, None, :] - v[None, :, :], axis=2)
     return SignSetAnalysis(
         sigma_samples=sam,
@@ -352,73 +346,9 @@ def sigma_set(
         v_thetas=vth,
         k=len(reps),
         kappa=float(d.min(axis=1).max()),
-        kappa_level=beta,
         beta=beta,
         e_indices=e,
         empty=False,
-    )
-
-
-def _symmetrize(reps: np.ndarray, rep_thetas: np.ndarray):
-    """Stack antipodes after the representatives, shifting thetas by pi."""
-    if reps.size == 0:
-        return reps.reshape(0, reps.shape[1] if reps.ndim == 2 else 0), rep_thetas
-    v = np.vstack([reps, -reps])
-    vth = np.concatenate([rep_thetas, np.mod(rep_thetas + np.pi, 2 * np.pi)])
-    return v, vth
-
-
-def prune_separated(analysis: SignSetAnalysis, max_rounds: int = 3) -> SignSetAnalysis:
-    """Thin V to a 3*level-separated net, quadrupling the level per removal.
-
-    Each round finds the closest pair of representatives (antipodal images
-    included); if it is closer than 3 times the current net level, the
-    lexicographically later member is dropped together with its antipode
-    and the level grows fourfold (points covered by the removed pair are
-    still covered through the closest surviving pair).  The cascade runs the
-    separation thresholds 3 beta, 12 beta, 48 beta and then stops, so at
-    most ``max_rounds`` pairs are removed; it also stops when a single pair
-    remains.
-    """
-    v = [analysis.representatives[i] for i in range(analysis.k)]
-    vth = list(analysis.v_thetas[: analysis.k])
-    level = analysis.kappa_level
-    rounds = analysis.prune_rounds
-    while len(v) >= 2 and rounds < max_rounds:
-        closest, pair = math.inf, None
-        for i in range(len(v)):
-            for j in range(i + 1, len(v)):
-                dij = _pair_min_dist(v[i], v[j])
-                if dij < closest:
-                    closest, pair = dij, (i, j)
-        if closest >= 3 * level:
-            break
-        i, j = pair
-        drop = j if tuple(v[j]) > tuple(v[i]) else i
-        del v[drop]
-        del vth[drop]
-        level *= 4
-        rounds += 1
-    if v:
-        new_v, new_th = _symmetrize(np.asarray(v), np.asarray(vth))
-    else:
-        new_v = np.zeros((0, analysis.sigma_samples.shape[1]))
-        new_th = np.zeros(0)
-    if analysis.sigma_samples.size and new_v.size:
-        d = np.linalg.norm(
-            analysis.sigma_samples[:, None, :] - new_v[None, :, :], axis=2
-        )
-        kappa = float(d.min(axis=1).max())
-    else:
-        kappa = math.inf
-    return replace(
-        analysis,
-        V=new_v,
-        v_thetas=new_th,
-        k=len(v),
-        kappa=kappa,
-        kappa_level=level,
-        prune_rounds=rounds,
     )
 
 
@@ -441,82 +371,6 @@ def cyclic_interval_signs(analysis: SignSetAnalysis, sub: TwoDSubspace) -> bool:
         if flips not in (0, 2):
             return False
     return True
-
-
-@dataclass(frozen=True)
-class SignDecomposition:
-    """Least-squares split of the weighted sign vector over eigen-slices.
-
-    For unit x in the subspace, eta * n**-0.5 * sign(x) is regressed on
-    span{Px, Qx} (coefficients eta * alpha_y, eta * beta_y) and on the
-    4-dimensional span{Pu, Pv, Qu, Qv} (whose residual is the quantity the
-    theory controls).  ``lam`` is the multiplier consistent with the two
-    coefficients; ``lam_gap`` how far the two readings disagree.
-    """
-
-    x: np.ndarray
-    lam: float
-    alpha_y: float
-    beta_y: float
-    residual: float        # distance to the 4-dimensional slice span
-    pair_residual: float   # distance to span{Px, Qx}
-    lam_gap: float
-
-    @property
-    def inverse_multiplier(self) -> float:
-        """1 / lam; recorded for reference, no check depends on it."""
-        return 1.0 / self.lam if self.lam != 0 else math.inf
-
-
-def sign_decomposition(
-    spec: NormSpec, sub: TwoDSubspace, x: np.ndarray
-) -> SignDecomposition:
-    """Decompose the weighted sign vector of a unit point of the subspace.
-
-    At eta = 0 the target vector is zero and the decomposition is trivial:
-    zero coefficients and zero residuals.
-    """
-    x = np.asarray(x, dtype=float)
-    if abs(np.linalg.norm(x) - 1.0) > _UNIT_TOL:
-        raise ValueError("x must be a unit vector")
-    fr = sub.frame()
-    if np.linalg.norm(x - fr.columns @ (fr.columns.T @ x)) > _UNIT_TOL:
-        raise ValueError("x must lie in the subspace")
-    target = spec.ell1_weight * np.sign(x)
-    p, q = spec.proj.P, spec.proj.Q
-    if spec.eta == 0:
-        alpha_y = beta_y = 0.0
-        pair_residual = residual = 0.0
-    else:
-        b2 = np.column_stack([p @ x, q @ x])
-        coef2, *_ = np.linalg.lstsq(b2, target, rcond=None)
-        pair_residual = float(np.linalg.norm(target - b2 @ coef2))
-        b4 = np.column_stack([p @ sub.u, p @ sub.v, q @ sub.u, q @ sub.v])
-        coef4, *_ = np.linalg.lstsq(b4, target, rcond=None)
-        residual = float(np.linalg.norm(target - b4 @ coef4))
-        alpha_y = float(coef2[0] / spec.eta)
-        beta_y = float(coef2[1] / spec.eta)
-    na = norm_A(spec, x)
-    lam_a = spec.eta * alpha_y + 2.0 / na
-    lam_b = spec.eta * beta_y + 1.0 / na
-    return SignDecomposition(
-        x=x,
-        lam=float((lam_a + lam_b) / 2.0),
-        alpha_y=alpha_y,
-        beta_y=beta_y,
-        residual=residual,
-        pair_residual=pair_residual,
-        lam_gap=float(abs(lam_a - lam_b)),
-    )
-
-
-def closeness_to_eigenspaces(spec: NormSpec, x: np.ndarray) -> tuple[float, float]:
-    """(distance to range P, distance to range Q) for a unit vector x."""
-    x = np.asarray(x, dtype=float)
-    if abs(np.linalg.norm(x) - 1.0) > 1e-10:
-        raise ValueError("x must be a unit vector")
-    px = spec.proj.P @ x
-    return float(np.linalg.norm(x - px)), float(np.linalg.norm(px))
 
 
 @dataclass(frozen=True)
@@ -557,7 +411,7 @@ def probe_subspace(
     ec = euclidean_constant(spec, sub, grid_size=max(grid_size, 256))
     sweep = _sweep(spec, sub, grid_size)
     wg = _worst(spec, sweep, tol)
-    sig = sigma_set(spec, sub, alpha, xi, c, beta, grid_size=max(grid_size, 256))
+    sig = sigma_set(sub, alpha, xi, c, beta, grid_size=max(grid_size, 256))
     return SubspaceReport(
         index=index,
         euclidean_ratio=ec.ratio,

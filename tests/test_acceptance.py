@@ -91,7 +91,7 @@ def test_criterion_4_equivalence_inside_eigenspace():
     spec = make_norm_spec(16, 0.0, Seed(920), rank=8)
     worst_margin = math.inf
     for t in range(100):
-        sub = sample_two_d_subspace(16, Seed(921).derive(t), within=spec.proj.basis)
+        sub = sample_two_d_subspace(16, Seed(921).derive(t), within=spec.basis)
         rep = verify_goodness_equivalence(spec, sub, epsilon=0.01, seed=Seed(922).derive(t))
         assert rep.applicable
         assert set(rep.details["directions"]) == {
@@ -178,7 +178,7 @@ def test_criterion_7_monte_carlo_bounds():
 def test_criterion_8_eigenvector_equality_case():
     spec = diag_spec([1, 0], eta=0.0)
     y = np.array([1.0, 1.0]) / SQRT2
-    rep = verify_approx_eigenvector(spec.proj, y, nu=1.5)
+    rep = verify_approx_eigenvector(spec.basis, y, nu=1.5)
     eq_ok = (
         abs(rep.measured_value - 0.5) <= 1e-12
         and abs(rep.bound_value - 0.5) <= 1e-12

@@ -103,6 +103,36 @@ def test_subcommand_smoke(tmp_path):
     assert rep["summary"]["ok"] is True
 
 
+_LEMMA_SUMMARY = {"checks_total", "checks_applicable", "checks_passed",
+                  "failed_ids", "not_applicable_ids", "ok"}
+_ENVELOPE = {"version", "config", "summary", "timing"}
+
+
+@pytest.mark.parametrize("command, sections, summary_keys", [
+    ("run", {"sandwich", "subspaces", "lemmas"}, _LEMMA_SUMMARY | {"sandwich_ok"}),
+    ("sample-norm", {"sandwich"}, {"ok"}),
+    ("probe-subspaces", {"subspaces"}, {"ok", "floor"}),
+    ("verify-lemmas", {"lemmas"}, _LEMMA_SUMMARY),
+    ("check-params", {"parameters"}, {"ok"}),
+    ("mc-bounds", {"lemmas"}, _LEMMA_SUMMARY),
+])
+def test_report_envelope_per_subcommand(tmp_path, command, sections, summary_keys):
+    code, rep = run_json(
+        tmp_path, "rep.json",
+        [command, "--n", "8", "--trials", "300", "--subspaces", "2", "--grid", "256"],
+    )
+    assert code == EXIT_OK
+    assert set(rep) == _ENVELOPE | sections
+    assert set(rep["summary"]) == summary_keys
+    assert rep["summary"]["ok"] is True
+    assert set(rep["timing"]) == {"seconds"}
+    if command == "check-params":
+        assert rep["config"] == {}
+    else:
+        assert rep["config"]["n"] == 8 and set(rep["config"]) == {
+            "n", "eta", "seed", "trials", "grid", "subspaces", "tol", "format", "out"}
+
+
 def test_exit_codes_are_distinct():
     assert EXIT_OK == 0
     assert EXIT_CHECK_FAILED == 1

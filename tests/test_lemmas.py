@@ -55,7 +55,7 @@ def test_goodness_equivalence_euclidean_case():
 
 def test_goodness_equivalence_inside_eigenspace():
     spec = make_norm_spec(8, 0.0, Seed(102), rank=4)
-    sub = sample_two_d_subspace(8, Seed(103), within=spec.proj.basis)
+    sub = sample_two_d_subspace(8, Seed(103), within=spec.basis)
     rep = verify_goodness_equivalence(spec, sub, epsilon=0.005, seed=Seed(104))
     assert rep.applicable and rep.passed
     check_report_flags(rep)
@@ -134,12 +134,14 @@ def test_support_characterization_records_delta_star():
 
 def test_approx_eigenvector_pure_eigenvectors():
     spec = make_norm_spec(8, 0.1, Seed(120), rank=4)
-    p = spec.proj.basis.columns[:, 0]
-    rep = verify_approx_eigenvector(spec.proj, p, nu=2.0)
+    p = spec.basis.columns[:, 0]
+    rep = verify_approx_eigenvector(spec.basis, p, nu=2.0)
     assert rep.passed and rep.measured_value == pytest.approx(0.0, abs=1e-15)
-    q = spec.proj.Q @ np.arange(1.0, 9.0)
+    u = spec.basis.columns
+    q = np.arange(1.0, 9.0)
+    q = q - u @ (u.T @ q)
     q /= np.linalg.norm(q)
-    rep_q = verify_approx_eigenvector(spec.proj, q, nu=1.0)
+    rep_q = verify_approx_eigenvector(spec.basis, q, nu=1.0)
     assert rep_q.passed and rep_q.details["tau"] == pytest.approx(0.0, abs=1e-15)
 
 
@@ -148,7 +150,7 @@ def test_approx_eigenvector_equality_case():
     # min(|Py|^2, |Qy|^2) = 1/2 = 2 tau -- the bound is tight
     spec = diag_spec([1, 0], eta=0.0)
     y = np.array([1.0, 1.0]) / SQRT2
-    rep = verify_approx_eigenvector(spec.proj, y, nu=1.5)
+    rep = verify_approx_eigenvector(spec.basis, y, nu=1.5)
     assert rep.applicable
     assert rep.details["tau"] == pytest.approx(0.25, abs=1e-15)
     assert rep.bound_value == pytest.approx(0.5, abs=1e-12)
@@ -164,17 +166,17 @@ def test_approx_eigenvector_split_identity():
     rng = Seed(122).generator()
     y = rng.standard_normal(6)
     y /= np.linalg.norm(y)
-    rep = verify_approx_eigenvector(spec.proj, y, nu=1.3)
+    rep = verify_approx_eigenvector(spec.basis, y, nu=1.3)
     assert rep.details["split_identity_gap"] <= 1e-12
 
 
 def test_approx_eigenvector_out_of_regime():
     spec = diag_spec([1, 0], eta=0.0)
     y = np.array([1.0, 1.0]) / SQRT2
-    rep = verify_approx_eigenvector(spec.proj, y, nu=0.0)  # tau = 2.25
+    rep = verify_approx_eigenvector(spec.basis, y, nu=0.0)  # tau = 2.25
     assert not rep.applicable and not rep.passed
     with pytest.raises(ValueError):
-        verify_approx_eigenvector(spec.proj, 2 * y, nu=1.5)
+        verify_approx_eigenvector(spec.basis, 2 * y, nu=1.5)
 
 
 # ----------------------------------------------------------------------
@@ -402,8 +404,7 @@ def test_frame_escape():
 
 def test_sigma_spread_genuine_instance():
     sub = sample_two_d_subspace(16, Seed(60))
-    spec = make_norm_spec(16, 1 / 16, Seed(200))
-    ana = sigma_set(spec, sub, alpha=1.0, xi=0.05, c=0.25, beta=0.25)
+    ana = sigma_set(sub, alpha=1.0, xi=0.05, c=0.25, beta=0.25)
     assert ana.k >= 5
     w = sample_frame(16, 4, Seed(60).derive("w"))
     rep = verify_sigma_spread(ana, sub, w)
@@ -421,8 +422,7 @@ def test_sigma_spread_too_few_pairs():
     v = np.zeros(n)
     v[2:] = 1.0 / math.sqrt(n - 2)
     sub = two_d_subspace(u, v)
-    spec = make_norm_spec(n, 0.1, Seed(41))
-    ana = sigma_set(spec, sub, alpha=2.0, xi=0.5, c=0.5, beta=0.5, grid_size=1024)
+    ana = sigma_set(sub, alpha=2.0, xi=0.5, c=0.5, beta=0.5, grid_size=1024)
     w = sample_frame(n, 4, Seed(42))
     rep = verify_sigma_spread(ana, sub, w)
     assert not rep.applicable

@@ -5,18 +5,18 @@ from hypothesis import strategies as st
 
 from normlab import (
     Frame,
-    GammaNet,
-    NetBudgetError,
-    ProjectionPair,
     Seed,
-    distance_to_subspace,
-    gamma_net,
-    principal_sine,
+    make_norm_spec,
     sample_frame,
-    sample_projection,
     sample_unit_sphere,
     subspace_incidence_probability,
 )
+
+
+def projection_of(spec):
+    """P = U U^T formed densely from the norm's basis U."""
+    u = spec.basis.columns
+    return u @ u.T
 
 
 # ----------------------------------------------------------------------
@@ -53,7 +53,7 @@ def test_seed_validates_64_bit_range():
 
 
 # ----------------------------------------------------------------------
-# Frame / ProjectionPair
+# Frame / the sampled projection
 # ----------------------------------------------------------------------
 
 def test_frame_rejects_non_orthonormal_columns():
@@ -66,45 +66,35 @@ def test_frame_rejects_non_orthonormal_columns():
 
 
 def test_projection_pair_invariants_sampled():
-    proj = sample_projection(4, 2, Seed(11))
-    n = proj.n
-    assert np.array_equal(proj.P + proj.Q, np.eye(n))  # exact as stored
-    assert np.linalg.norm(proj.P - proj.P.T) == 0.0
-    assert np.linalg.norm(proj.P @ proj.P - proj.P) <= 1e-10 * n
-    assert abs(np.trace(proj.P) - 2) <= 1e-8
+    spec = make_norm_spec(4, 0.1, Seed(11), rank=2)
+    p = projection_of(spec)
+    q = np.eye(4) - p
+    assert np.linalg.norm(p - p.T) == 0.0
+    assert np.linalg.norm(p @ p - p) <= 1e-10 * 4
+    assert np.linalg.norm(p @ q) <= 1e-10 * 4  # complementary
+    assert abs(np.trace(p) - 2) <= 1e-8
     # spectrum of a rank-2 projection in dimension 4
-    eig = np.sort(np.linalg.eigvalsh(proj.P))
+    eig = np.sort(np.linalg.eigvalsh(p))
     assert np.allclose(eig, [0, 0, 1, 1], atol=1e-8)
 
 
-def test_projection_pair_rejects_mismatched_complement():
-    p = np.eye(3)
-    q = np.zeros((3, 3))
-    q[0, 0] = 1e-8  # not the exact complement
+def test_norm_spec_basis_bitwise_deterministic():
+    a = make_norm_spec(4, 0.1, Seed(123), rank=2)
+    b = make_norm_spec(4, 0.5, Seed(123), rank=2)
+    assert np.array_equal(a.basis.columns, b.basis.columns)  # eta draws nothing
+    # the basis is the Haar frame of the seed's "projection" stream
+    frame = sample_frame(4, 2, Seed(123).derive("projection"))
+    assert np.array_equal(a.basis.columns, frame.columns)
+    c = make_norm_spec(4, 0.1, Seed(124), rank=2)
+    assert not np.array_equal(a.basis.columns, c.basis.columns)
+
+
+def test_make_norm_spec_rank_domain():
     with pytest.raises(ValueError):
-        ProjectionPair(P=p, Q=q, rank=3, basis=Frame(np.eye(3)))
-
-
-def test_sample_projection_bitwise_deterministic():
-    a = sample_projection(4, 2, Seed(123))
-    b = sample_projection(4, 2, Seed(123))
-    assert np.array_equal(a.P, b.P)
-    assert np.array_equal(a.basis.columns, b.basis.columns)
-    c = sample_projection(4, 2, Seed(124))
-    assert not np.array_equal(a.P, c.P)
-
-
-def test_sample_projection_full_rank_is_identity():
-    proj = sample_projection(2, 2, Seed(5))
-    assert np.array_equal(proj.P, np.eye(2))
-    assert np.array_equal(proj.Q, np.zeros((2, 2)))
-
-
-def test_sample_projection_rank_domain():
+        make_norm_spec(4, 0.1, Seed(1), rank=0)
     with pytest.raises(ValueError):
-        sample_projection(4, 0, Seed(1))
-    with pytest.raises(ValueError):
-        sample_projection(4, 5, Seed(1))
+        make_norm_spec(4, 0.1, Seed(1), rank=5)
+    assert make_norm_spec(5, 0.1, Seed(1)).basis.dim == 2  # floor(n / 2)
 
 
 def test_haar_invariance_of_projected_length():
@@ -115,8 +105,8 @@ def test_haar_invariance_of_projected_length():
     seed = Seed(2024)
     acc = np.empty(trials)
     for t in range(trials):
-        proj = sample_projection(n, rank, seed.derive("haar", t))
-        pv = proj.P @ v
+        u = sample_frame(n, rank, seed.derive("haar", t)).columns
+        pv = u @ (u.T @ v)
         acc[t] = pv @ pv
     mean = acc.mean()
     print(f"mean |Pv|^2 over {trials} draws: {mean:.5f} (target 0.5)")
@@ -127,10 +117,10 @@ def test_haar_invariance_of_projected_length():
 @given(st.integers(2, 12), st.integers(0, 2**63))
 def test_projection_invariants_property(n, master):
     rank = max(1, n // 2)
-    proj = sample_projection(n, rank, Seed(master))
-    assert np.array_equal(proj.P + proj.Q, np.eye(n))
-    assert np.linalg.norm(proj.P @ proj.P - proj.P) <= 1e-10 * n
-    assert abs(np.trace(proj.P) - rank) <= 1e-8
+    p = projection_of(make_norm_spec(n, 0.1, Seed(master)))
+    assert np.linalg.norm(p - p.T) == 0.0
+    assert np.linalg.norm(p @ p - p) <= 1e-10 * n
+    assert abs(np.trace(p) - rank) <= 1e-8
 
 
 def test_sample_frame_shapes_and_validation():
@@ -171,70 +161,6 @@ def test_unit_sphere_coordinate_means():
 
 
 # ----------------------------------------------------------------------
-# distances
-# ----------------------------------------------------------------------
-
-def test_distance_examples():
-    e1 = np.array([1.0, 0.0, 0.0])
-    e2 = np.array([0.0, 1.0, 0.0])
-    w1 = Frame(e1[:, None])
-    w2 = Frame(e2[:, None])
-    diag = Frame((np.array([1.0, 1.0, 0.0]) / np.sqrt(2))[:, None])
-    assert distance_to_subspace(e1, w1) == pytest.approx(0.0, abs=1e-14)
-    assert distance_to_subspace(e1, w2) == pytest.approx(1.0, abs=1e-14)
-    assert distance_to_subspace(e1, diag) == pytest.approx(0.70710678118654746, abs=1e-12)
-    # empty / missing frame means the zero subspace
-    assert distance_to_subspace(e1, None) == pytest.approx(1.0)
-
-
-# ----------------------------------------------------------------------
-# gamma nets
-# ----------------------------------------------------------------------
-
-def test_gamma_net_line():
-    f = sample_frame(4, 1, Seed(21))
-    net = gamma_net(1, 1.0, f, Seed(22), certificate_trials=20_000)
-    assert len(net) == 2
-    assert net.covering_certified
-    # the two net points of a line's sphere are antipodal unit vectors
-    assert np.allclose(net.points[0], -net.points[1], atol=1e-12)
-    assert np.allclose(np.linalg.norm(net.points, axis=1), 1.0, atol=1e-12)
-
-
-def test_gamma_net_circle_budget_and_certificate():
-    f = sample_frame(5, 2, Seed(31))
-    net = gamma_net(2, 0.5, f, Seed(32), certificate_trials=50_000)
-    assert len(net) <= 36  # ceil((3/0.5)^2)
-    assert net.covering_certified
-    assert net.certificate_max_dist <= 0.5
-    # all points genuinely inside the subspace
-    d = [distance_to_subspace(p, f) for p in net.points]
-    assert max(d) < 1e-10
-
-
-def test_gamma_net_wide_radius_single_pair():
-    f = sample_frame(3, 2, Seed(41))
-    net = gamma_net(2, 1.9, f, Seed(42), certificate_trials=20_000)
-    assert len(net) == 2
-    assert net.covering_certified
-
-
-def test_gamma_net_rejects_bad_inputs():
-    f = sample_frame(4, 2, Seed(5))
-    with pytest.raises(ValueError):
-        gamma_net(3, 0.5, f, Seed(5))  # declared m != frame dim
-    with pytest.raises(ValueError):
-        gamma_net(2, 0.0, f, Seed(5))
-    with pytest.raises(ValueError):
-        gamma_net(2, 2.5, f, Seed(5))
-
-
-def test_net_budget_error_carries_context():
-    err = NetBudgetError(2, 0.5, 36, 37)
-    assert "36" in str(err) and "0.5" in str(err)
-
-
-# ----------------------------------------------------------------------
 # incidence probability oracle
 # ----------------------------------------------------------------------
 
@@ -270,27 +196,3 @@ def test_incidence_probability_matches_monte_carlo():
     se = np.sqrt(p * (1 - p) / trials)
     print(f"freq {freq:.5f} vs oracle {p:.5f} (se {se:.5f})")
     assert abs(freq - p) <= 4 * se
-
-
-# ----------------------------------------------------------------------
-# principal angles
-# ----------------------------------------------------------------------
-
-def test_principal_sine_cases():
-    e = np.eye(4)
-    same = principal_sine(e[:, :2], e[:, :2])
-    assert same == pytest.approx(0.0, abs=1e-14)
-    orth = principal_sine(e[:, :2], e[:, 2:])
-    assert orth == pytest.approx(1.0, abs=1e-14)
-    # 45 degrees between span{e1} and span{(e1+e2)/sqrt2}
-    tilted = (e[:, 0] + e[:, 1])[:, None] / np.sqrt(2)
-    assert principal_sine(e[:, :1], tilted) == pytest.approx(np.sqrt(0.5), abs=1e-12)
-    # the sine equals the minimal distance from a unit vector of A to span(B)
-    a = sample_frame(6, 2, Seed(51)).columns
-    b = sample_frame(6, 3, Seed(52)).columns
-    s = principal_sine(a, b)
-    best = 1.0
-    for th in np.linspace(0, 2 * np.pi, 2000, endpoint=False):
-        x = np.cos(th) * a[:, 0] + np.sin(th) * a[:, 1]
-        best = min(best, distance_to_subspace(x, Frame(b)))
-    assert s == pytest.approx(best, abs=1e-5)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from scipy.optimize import minimize
 from normlab import (
     DualNormError,
     Frame,
-    ProjectionPair,
     Seed,
     dual_brackets,
     dual_norm,
@@ -19,7 +19,7 @@ from normlab import (
     norm_A,
     projection_ratio_norm,
     sample_unit_sphere,
-    spec_from_projection,
+    spec_from_basis,
     support_functional,
 )
 from normlab.norms import BRACKET_TOL
@@ -30,11 +30,7 @@ SQRT2 = math.sqrt(2.0)
 def diag_spec(mask, eta):
     """Norm whose projection is diagonal with the given 0/1 mask."""
     mask = np.asarray(mask, dtype=float)
-    n = mask.size
-    p = np.diag(mask)
-    basis = np.eye(n)[:, mask > 0]
-    proj = ProjectionPair(P=p, Q=np.eye(n) - p, rank=int(mask.sum()), basis=Frame(basis))
-    return spec_from_projection(proj, eta)
+    return spec_from_basis(Frame(np.eye(mask.size)[:, mask > 0]), eta)
 
 
 def euclidean_spec(n, eta=0.0):
@@ -48,8 +44,10 @@ def primal_dual_norm(spec, x):
     w * sum(p + m), so the objective is smooth on the feasible set.  The
     value returned is <x, y> / ||y|| at the solver's point, a lower bound
     on ||x||_* that does not depend on how exactly the constraint holds.
+    The quadratic form I + U U^T is formed densely here, from the basis U.
     """
-    a, w, n = spec.A, spec.ell1_weight, x.size
+    u, w, n = spec.basis.columns, spec.ell1_weight, x.size
+    a = np.eye(n) + u @ u.T
     jac = np.concatenate([x, -x])
 
     def objective(v):
@@ -109,6 +107,40 @@ def test_norm_A_frozen_examples():
     assert norm_A(spec, mixed) == pytest.approx(1.224744871391589, abs=1e-15)
 
 
+def _array_sizes(obj):
+    """Entry counts of every array held by a dataclass, nested ones included."""
+    for f in dataclasses.fields(obj):
+        val = getattr(obj, f.name)
+        if isinstance(val, np.ndarray):
+            yield f.name, val.size
+        elif dataclasses.is_dataclass(val):
+            yield from _array_sizes(val)
+
+
+def test_norm_spec_stores_only_the_basis():
+    n, rank = 64, 32
+    spec = make_norm_spec(n, 1 / 16, Seed(64))
+    assert [f.name for f in dataclasses.fields(spec)] == ["n", "eta", "basis", "C"]
+    sizes = dict(_array_sizes(spec))
+    assert sizes and max(sizes.values()) <= n * rank
+
+    # the norm against I + U U^T formed densely from the basis
+    u = spec.basis.columns
+    assert u.shape == (n, rank)
+    x = sample_unit_sphere(n, Seed(65), size=200)
+    quad = np.sqrt(np.einsum("ij,ij->i", x, x @ (np.eye(n) + u @ u.T)))
+    dense = quad + spec.ell1_weight * np.abs(x).sum(axis=1)
+    assert np.max(np.abs(norm(spec, x) / dense - 1.0)) <= 1e-14
+
+    # at eta = 0 the dual is sqrt(<z, (I - U U^T / 2) z>), also formed densely
+    spec0 = make_norm_spec(n, 0.0, Seed(64))
+    assert np.array_equal(spec0.basis.columns, u)
+    closed = np.sqrt(np.einsum("ij,ij->i", x, x @ (np.eye(n) - u @ u.T / 2.0)))
+    sol = dual_brackets(spec0, x)
+    for end in (sol.lower, sol.upper):
+        assert np.max(np.abs(end / closed - 1.0)) <= 1e-14
+
+
 def test_norm_accepts_row_stacks():
     spec = make_norm_spec(6, 1 / 16, Seed(42))
     xs = sample_unit_sphere(6, Seed(43), size=32)
@@ -164,7 +196,7 @@ def test_dual_norm_self_dual_euclidean():
 
 def test_dual_norm_projected_direction_closed_form():
     spec = make_norm_spec(6, 0.0, Seed(3), rank=3)
-    z = spec.proj.basis.columns[:, 0]  # unit vector in range(P)
+    z = spec.basis.columns[:, 0]  # unit vector in range(P)
     val, y = dual_norm(spec, z)
     assert val == pytest.approx(1 / SQRT2, abs=1e-12)
     assert norm(spec, y) == pytest.approx(1.0, rel=1e-12)
@@ -306,7 +338,7 @@ def test_goodness_euclidean_is_zero():
 
 def test_goodness_eigenvector_is_zero():
     spec = make_norm_spec(8, 0.0, Seed(62), rank=4)
-    x = spec.proj.basis.columns[:, 1]
+    x = spec.basis.columns[:, 1]
     assert goodness(spec, x).deficiency == 0.0
 
 
@@ -351,7 +383,7 @@ def test_projection_ratio_norm_euclidean():
 
 def test_projection_ratio_norm_inside_eigenspace():
     spec = make_norm_spec(8, 0.0, Seed(73), rank=4)
-    cols = spec.proj.basis.columns[:, :2]
+    cols = spec.basis.columns[:, :2]
     got = projection_ratio_norm(spec, cols, seed=Seed(74))
     assert got == pytest.approx(1.0, abs=1e-6)
     assert got >= 1 - 1e-7  # the projection fixes its own range

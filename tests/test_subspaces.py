@@ -7,7 +7,6 @@ from dataclasses import replace
 from normlab import (
     DualNormError,
     Seed,
-    closeness_to_eigenspaces,
     cyclic_interval_signs,
     e_set,
     euclidean_constant,
@@ -16,10 +15,8 @@ from normlab import (
     norm,
     probe_subspace,
     projection_op_norm,
-    prune_separated,
     sample_two_d_subspace,
     sigma_set,
-    sign_decomposition,
     span_two,
     two_d_subspace,
     typical_check,
@@ -98,10 +95,11 @@ def test_subspace_constructors_validate():
 
 def test_sample_two_d_subspace_within_frame():
     spec = make_norm_spec(10, 0.0, Seed(5), rank=5)
-    sub = sample_two_d_subspace(10, Seed(6), within=spec.proj.basis)
+    sub = sample_two_d_subspace(10, Seed(6), within=spec.basis)
     # both spanning vectors live inside range(P)
-    assert np.linalg.norm(spec.proj.P @ sub.u - sub.u) < 1e-10
-    assert np.linalg.norm(spec.proj.P @ sub.v - sub.v) < 1e-10
+    u = spec.basis.columns
+    assert np.linalg.norm(u @ (u.T @ sub.u) - sub.u) < 1e-10
+    assert np.linalg.norm(u @ (u.T @ sub.v) - sub.v) < 1e-10
 
 
 # ----------------------------------------------------------------------
@@ -115,7 +113,7 @@ def test_euclidean_constant_flat_cases():
     assert est.ratio == pytest.approx(1.0, abs=1e-12)
 
     spec_p = make_norm_spec(8, 0.0, Seed(8), rank=4)
-    sub_p = sample_two_d_subspace(8, Seed(9), within=spec_p.proj.basis)
+    sub_p = sample_two_d_subspace(8, Seed(9), within=spec_p.basis)
     est_p = euclidean_constant(spec_p, sub_p)
     assert est_p.ratio == pytest.approx(1.0, abs=1e-12)
     assert est_p.scale_t == pytest.approx(SQRT2, abs=1e-12)
@@ -137,7 +135,7 @@ def test_projection_op_norm_cases():
     assert projection_op_norm(spec, sub) == pytest.approx(1.0, abs=1e-7)
 
     spec_p = make_norm_spec(8, 0.0, Seed(12), rank=4)
-    sub_p = sample_two_d_subspace(8, Seed(13), within=spec_p.proj.basis)
+    sub_p = sample_two_d_subspace(8, Seed(13), within=spec_p.basis)
     assert projection_op_norm(spec_p, sub_p) == pytest.approx(
         1.0, abs=1e-6
     )
@@ -168,7 +166,7 @@ def test_worst_goodness_flat_cases():
     assert wg.failures == ()
 
     spec_p = make_norm_spec(8, 0.0, Seed(21), rank=4)
-    sub_p = sample_two_d_subspace(8, Seed(22), within=spec_p.proj.basis)
+    sub_p = sample_two_d_subspace(8, Seed(22), within=spec_p.basis)
     assert worst_goodness(spec_p, sub_p, grid_size=128).deficiency == 0.0
 
 
@@ -285,9 +283,8 @@ def test_typical_check_boundary_is_exact_not_tolerant():
 # ----------------------------------------------------------------------
 
 def test_sigma_set_four_quadrant_patterns():
-    spec = make_norm_spec(2, 0.25, Seed(40), rank=1)
     sub = two_d_subspace(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    ana = sigma_set(spec, sub, alpha=1.0, xi=0.1, c=0.75, beta=0.5, grid_size=512)
+    ana = sigma_set(sub, alpha=1.0, xi=0.1, c=0.75, beta=0.5, grid_size=512)
     assert not ana.empty
     pats = {tuple(np.sign(s).astype(int)) for s in ana.sigma_samples}
     assert pats == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
@@ -307,9 +304,8 @@ def test_sigma_set_single_pattern_pair():
     v = np.zeros(n)
     v[2:] = 1.0 / math.sqrt(n - 2)
     sub = two_d_subspace(u, v)
-    spec = make_norm_spec(n, 0.1, Seed(41))
     assert set(e_set(sub, 2.0)) == {0, 1}
-    ana = sigma_set(spec, sub, alpha=2.0, xi=0.5, c=0.5, beta=0.5, grid_size=1024)
+    ana = sigma_set(sub, alpha=2.0, xi=0.5, c=0.5, beta=0.5, grid_size=1024)
     assert not ana.empty
     assert ana.k == 1
 
@@ -317,25 +313,22 @@ def test_sigma_set_single_pattern_pair():
 def test_sigma_set_k_at_least_one_when_samples_exist():
     for trial in range(3):
         sub = sample_two_d_subspace(8, Seed(42).derive(trial))
-        spec = make_norm_spec(8, 0.1, Seed(43))
-        ana = sigma_set(spec, sub, alpha=1.0, xi=0.05, c=0.25, beta=1.0)
+        ana = sigma_set(sub, alpha=1.0, xi=0.05, c=0.25, beta=1.0)
         if not ana.empty:
             assert ana.k >= 1
 
 
 def test_sigma_set_validates_beta():
-    spec = make_norm_spec(4, 0.1, Seed(44))
     sub = sample_two_d_subspace(4, Seed(45))
     for bad in (0.0, -1.0, 1.5):
         with pytest.raises(ValueError):
-            sigma_set(spec, sub, alpha=1.0, xi=0.05, c=0.25, beta=bad)
+            sigma_set(sub, alpha=1.0, xi=0.05, c=0.25, beta=bad)
 
 
 def test_sigma_set_empty_report():
     # alpha beyond sqrt(2n) empties E, so no angle is ever typical
-    spec = make_norm_spec(6, 0.1, Seed(46))
     sub = sample_two_d_subspace(6, Seed(47))
-    ana = sigma_set(spec, sub, alpha=5.0, xi=0.05, c=0.25, beta=0.5)
+    ana = sigma_set(sub, alpha=5.0, xi=0.05, c=0.25, beta=0.5)
     assert ana.empty and ana.k == 0
     assert ana.kappa == math.inf
     assert ana.sigma_samples.shape == (0, 6)
@@ -353,9 +346,8 @@ def _pair_separations(v, k):
 
 def test_sigma_set_separation_and_cover():
     sub = sample_two_d_subspace(16, Seed(48))
-    spec = make_norm_spec(16, 1 / 16, Seed(49))
     beta = 0.25
-    ana = sigma_set(spec, sub, alpha=1.0, xi=0.05, c=0.25, beta=beta)
+    ana = sigma_set(sub, alpha=1.0, xi=0.05, c=0.25, beta=beta)
     assert not ana.empty
     seps = _pair_separations(ana.representatives, ana.k)
     if seps:
@@ -364,54 +356,9 @@ def test_sigma_set_separation_and_cover():
     assert ana.kappa <= beta + 1e-12
 
 
-def test_prune_separated_contract():
-    # across several sweeps: pruning keeps beta-separation, never increases k,
-    # realized cover radius stays within the guaranteed level, and after at
-    # most two removals the radius is within 48 beta
-    beta = 0.25
-    for trial in range(6):
-        sub = sample_two_d_subspace(12, Seed(50).derive(trial))
-        spec = make_norm_spec(12, 1 / 16, Seed(51))
-        ana = sigma_set(spec, sub, alpha=1.0, xi=0.05, c=0.25, beta=beta)
-        if ana.empty:
-            continue
-        pruned = prune_separated(ana)
-        assert pruned.k <= ana.k
-        assert pruned.prune_rounds <= 3
-        assert pruned.k >= 1
-        seps = _pair_separations(pruned.representatives, pruned.k)
-        if seps:
-            assert min(seps) >= beta - 1e-12
-        assert pruned.kappa <= pruned.kappa_level + 1e-12
-        if pruned.prune_rounds <= 2:
-            assert pruned.kappa <= 48 * beta + 1e-12
-        # stopping contract: either a single pair is left, the cascade hit its
-        # cap, or the survivors are 3-level separated
-        if pruned.k >= 2 and pruned.prune_rounds < 3:
-            assert min(seps) >= 3 * pruned.kappa_level - 1e-12
-
-
-def test_prune_separated_forced_cascade():
-    # patterns on a fine grid: adjacent quadrant patterns at distance sqrt(2)
-    # with beta = 0.9 keep k = 2; raising the working level by hand is not
-    # possible, so force a removal by lowering beta after the fact
-    spec = make_norm_spec(2, 0.25, Seed(52), rank=1)
-    sub = two_d_subspace(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    ana = sigma_set(spec, sub, alpha=1.0, xi=0.1, c=0.75, beta=0.5, grid_size=512)
-    assert ana.k == 2
-    # the two representatives sit sqrt(2) apart; with level = beta = 0.5 the
-    # threshold 3 beta = 1.5 exceeds sqrt(2), so one pair is removed
-    pruned = prune_separated(ana)
-    assert pruned.prune_rounds == 1
-    assert pruned.k == 1
-    assert pruned.kappa_level == pytest.approx(2.0)  # 4 * beta
-    assert pruned.kappa <= pruned.kappa_level
-
-
 def test_cyclic_interval_signs_genuine_and_synthetic():
     sub = sample_two_d_subspace(10, Seed(53))
-    spec = make_norm_spec(10, 1 / 16, Seed(54))
-    ana = sigma_set(spec, sub, alpha=1.0, xi=0.05, c=0.25, beta=0.25)
+    ana = sigma_set(sub, alpha=1.0, xi=0.05, c=0.25, beta=0.25)
     assert not ana.empty
     assert cyclic_interval_signs(ana, sub)
     # synthetic alternating pattern cannot come from any sweep
@@ -428,111 +375,6 @@ def test_cyclic_interval_signs_genuine_and_synthetic():
             k=1,
         )
         assert not cyclic_interval_signs(fake, sub)
-
-
-# ----------------------------------------------------------------------
-# sign decomposition
-# ----------------------------------------------------------------------
-
-def test_sign_decomposition_trivial_at_eta_zero():
-    spec = make_norm_spec(8, 0.0, Seed(60), rank=4)
-    sub = sample_two_d_subspace(8, Seed(61))
-    dec = sign_decomposition(spec, sub, sub.point(0.3))
-    assert dec.alpha_y == 0.0 and dec.beta_y == 0.0
-    assert dec.residual == 0.0 and dec.pair_residual == 0.0
-
-
-def test_sign_decomposition_exact_when_sign_is_collinear():
-    # x = (1,1,0,0)/sqrt2 inside range(P): sign(x) is a multiple of Px
-    spec = diag_spec([1, 1, 0, 0], eta=0.25)
-    u = np.array([1.0, 1.0, 0.0, 0.0]) / SQRT2
-    v = np.array([1.0, -1.0, 0.0, 0.0]) / SQRT2
-    sub = two_d_subspace(u, v)
-    dec = sign_decomposition(spec, sub, u)
-    assert dec.pair_residual == pytest.approx(0.0, abs=1e-12)
-    assert dec.residual == pytest.approx(0.0, abs=1e-12)
-    # eta * alpha_y recovers the collinearity scale: target = (eta/2) sign(x)
-    # = (eta/2) sqrt2 x and Px = x, so the coefficient is eta/sqrt2
-    assert dec.alpha_y == pytest.approx(1 / SQRT2, abs=1e-10)
-
-
-def _grid_refine_residual(b4, target, rounds=15, span=2.0, pts=9):
-    """Brute-force 4-D least-squares by nested grid refinement."""
-    center = np.zeros(4)
-    best = None
-    for _ in range(rounds):
-        axes = [np.linspace(c - span, c + span, pts) for c in center]
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
-        resid = np.linalg.norm(target[None, :] - grid @ b4.T, axis=1)
-        j = int(np.argmin(resid))
-        best = float(resid[j])
-        center = grid[j]
-        span /= 2.0
-    return best
-
-
-def test_sign_decomposition_matches_grid_oracle():
-    spec = make_norm_spec(12, 1 / 16, Seed(62))
-    sub = sample_two_d_subspace(12, Seed(63))
-    x = sub.point(1.0)
-    dec = sign_decomposition(spec, sub, x)
-    p, q = spec.proj.P, spec.proj.Q
-    b4 = np.column_stack([p @ sub.u, p @ sub.v, q @ sub.u, q @ sub.v])
-    target = spec.ell1_weight * np.sign(x)
-    oracle = _grid_refine_residual(b4, target)
-    assert dec.residual == pytest.approx(oracle, abs=1e-6)
-    assert dec.residual <= dec.pair_residual + 1e-12
-
-
-def test_sign_decomposition_coefficient_bounds():
-    # |alpha_y|, |beta_y| <= 2/eta whenever lambda lands in [sqrt2 - 1, 2]
-    eta = 1 / 16
-    spec = make_norm_spec(16, eta, Seed(64))
-    hit = 0
-    for trial in range(12):
-        sub = sample_two_d_subspace(16, Seed(65).derive(trial))
-        dec = sign_decomposition(spec, sub, sub.point(0.1 + trial))
-        if SQRT2 - 1 <= dec.lam <= 2:
-            hit += 1
-            assert abs(dec.alpha_y) <= 2 / eta
-            assert abs(dec.beta_y) <= 2 / eta
-    assert hit > 0  # the regime actually occurs
-
-
-def test_sign_decomposition_validates_input():
-    spec = make_norm_spec(6, 0.1, Seed(66))
-    sub = sample_two_d_subspace(6, Seed(67))
-    with pytest.raises(ValueError):
-        sign_decomposition(spec, sub, 2.0 * sub.point(0.0))  # not unit
-    outside = np.zeros(6)
-    outside[0] = 1.0
-    with pytest.raises(ValueError):
-        sign_decomposition(spec, sub, outside)  # unit but off-subspace
-
-
-# ----------------------------------------------------------------------
-# closeness to eigenspaces
-# ----------------------------------------------------------------------
-
-def test_closeness_examples():
-    spec = make_norm_spec(8, 0.1, Seed(70), rank=4)
-    p = spec.proj.basis.columns[:, 0]
-    dP, dQ = closeness_to_eigenspaces(spec, p)
-    assert dP == pytest.approx(0.0, abs=1e-12)
-    assert dQ == pytest.approx(1.0, abs=1e-12)
-
-    q = spec.proj.Q @ np.ones(8)
-    q /= np.linalg.norm(q)
-    mixed = (p + q) / SQRT2
-    dP, dQ = closeness_to_eigenspaces(spec, mixed)
-    assert dP == pytest.approx(1 / SQRT2, abs=1e-12)
-    assert dQ == pytest.approx(1 / SQRT2, abs=1e-12)
-
-    x = sample_two_d_subspace(8, Seed(71)).point(0.4)
-    dP, dQ = closeness_to_eigenspaces(spec, x)
-    assert dP**2 + dQ**2 == pytest.approx(1.0, abs=1e-10)
-    with pytest.raises(ValueError):
-        closeness_to_eigenspaces(spec, 0.5 * x)
 
 
 # ----------------------------------------------------------------------
