@@ -24,7 +24,7 @@ from .exactparams import ChainResult, ParameterSet, check_parameter_chain
 from .linalg import (
     Frame,
     Seed,
-    _haar_frame,
+    _haar_frames,
     sample_unit_sphere,
     subspace_incidence_probability,
 )
@@ -48,6 +48,11 @@ from .subspaces import (
 )
 
 MC_SIGMAS = 4.0  # Monte Carlo acceptance band, in standard errors
+# Monte Carlo trials are evaluated in stacks: at most _TRIAL_CHUNK trials at a
+# time, and configurations in chunks that keep one stacked SVD input near
+# _STACK_FLOATS entries.
+_TRIAL_CHUNK = 1000
+_STACK_FLOATS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -495,6 +500,83 @@ def _distinct_value_configs(n: int, k: int, budget: int, seed: Seed):
     return out, False
 
 
+def _trial_frames(n: int, k: int, trials: int, seed: Seed, tag: str):
+    """Yield the per-trial Haar frames, in stacks of at most _TRIAL_CHUNK.
+
+    Trial t always draws from ``seed.derive(tag, t)``, so the stacks hold the
+    same bits as a per-trial loop, whatever the chunking.
+    """
+    step = max(1, min(_TRIAL_CHUNK, _STACK_FLOATS // (n * k)))
+    for lo in range(0, trials, step):
+        hi = min(trials, lo + step)
+        rngs = [seed.derive(tag, t).generator() for t in range(lo, hi)]
+        yield _haar_frames(n, k, rngs)
+
+
+def _support_smax(f: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Per trial, the largest singular value of f[t][block] over all blocks."""
+    t, _, m = f.shape
+    step = max(1, _STACK_FLOATS // (t * blocks.shape[1] * m))
+    smax = np.zeros(t)
+    for c in range(0, blocks.shape[0], step):
+        s = np.linalg.svd(f[:, blocks[c : c + step]], compute_uv=False)
+        smax = np.maximum(smax, s[..., 0].max(axis=1))
+    return smax
+
+
+def _config_chunks(n: int, m: int, k: int, configs) -> list[list[tuple]]:
+    """The normalised block matrices b^T of the configurations, built once.
+
+    Configurations are cut, in order, into chunks that start at 8 and double
+    up to the stack cap, so that trials which stop early skip most of them;
+    inside a chunk those with j blocks are stacked into one (c_j, j, n)
+    array, listed with their positions in the chunk.
+    """
+    bts = []
+    for lab, signs in configs:
+        j = int(lab.max()) + 1
+        b = np.zeros((n, j))
+        b[np.arange(n), lab] = signs
+        b /= np.linalg.norm(b, axis=0, keepdims=True)
+        bts.append(b.T)
+    cap = max(1, _STACK_FLOATS // (_TRIAL_CHUNK * k * m))
+    chunks = []
+    c, step = 0, min(8, cap)
+    while c < len(bts):
+        part = bts[c : c + step]
+        c, step = c + step, min(2 * step, cap)
+        js = np.array([bt.shape[0] for bt in part])
+        groups = []
+        for j in np.unique(js):
+            pos = np.flatnonzero(js == j)
+            groups.append((pos, np.stack([part[i] for i in pos])))
+        chunks.append(groups)
+    return chunks
+
+
+def _distinct_smax(f: np.ndarray, chunks, thresh: float) -> np.ndarray:
+    """Per trial, the running maximum of the top singular value of b^T f[t]
+    over the configurations in order, stopped at the first one whose square
+    reaches ``thresh``; trials that stopped skip the later chunks."""
+    smax = np.zeros(f.shape[0])
+    live = np.arange(f.shape[0])
+    for groups in chunks:
+        if live.size == 0:
+            break
+        width = sum(pos.size for pos, _ in groups)
+        s = np.empty((live.size, width))
+        fl = f[live][:, None]
+        for pos, bt in groups:
+            s[:, pos] = np.linalg.svd(bt[None] @ fl, compute_uv=False)[..., 0]
+        cross = s * s >= thresh
+        stopped = cross.any(axis=1)
+        last = np.where(stopped, cross.argmax(axis=1), width - 1)
+        s[np.arange(width) > last[:, None]] = 0.0
+        smax[live] = np.maximum(smax[live], s.max(axis=1))
+        live = live[~stopped]
+    return smax
+
+
 def small_support_incidence(
     n: int,
     m: int,
@@ -517,6 +599,13 @@ def small_support_incidence(
     at most gamma.  Enumeration beyond ``budget`` configurations falls back
     to sampled configurations, flagged in the details (the frequency is then
     an undercount, which only ever weakens the measured side of the check).
+
+    Trial t draws its subspace from its own stream
+    ``seed.derive("incidence", t)``; trials are evaluated in stacks (one
+    batched QR, then batched SVDs over chunks of configurations), which
+    gives the same hit count as a trial-by-trial loop.  In distinct mode a
+    trial stops at the first configuration that catches it, and stopped
+    trials skip the later chunks.
     """
     if trials < 1000:
         raise ValueError("need at least 1000 trials")
@@ -543,28 +632,17 @@ def small_support_incidence(
             + n * math.log(48.0 * k)
             + (n - m) * math.log(gamma)
         )
+        chunks = _config_chunks(n, m, k, configs)
     bound = min(1.0, math.exp(min(log_b, 50.0)))
 
+    g2 = gamma * gamma
     hits = 0
-    for t in range(trials):
-        f = _haar_frame(n, m, seed.derive("incidence", t).generator())
+    for f in _trial_frames(n, m, trials, seed, "incidence"):
         if mode == "support":
-            sub = f[blocks]  # (ncfg, r, m)
-            s = np.linalg.svd(sub, compute_uv=False)
-            smax = s[:, 0].max()
+            smax = _support_smax(f, blocks)
         else:
-            smax = 0.0
-            for lab, signs in configs:
-                j = int(lab.max()) + 1
-                b = np.zeros((n, j))
-                b[np.arange(n), lab] = signs
-                b /= np.linalg.norm(b, axis=0, keepdims=True)
-                sv = np.linalg.svd(b.T @ f, compute_uv=False)
-                smax = max(smax, float(sv[0]))
-                if smax * smax >= 1.0 - gamma * gamma:
-                    break
-        if 1.0 - smax * smax <= gamma * gamma:
-            hits += 1
+            smax = _distinct_smax(f, chunks, 1.0 - g2)
+        hits += int(np.count_nonzero(1.0 - smax * smax <= g2))
     freq = hits / trials
     se = math.sqrt(max(freq * (1 - freq), 1.0 / trials) / trials)
     margin = bound + MC_SIGMAS * se - freq
@@ -603,6 +681,11 @@ def verify_range_support_gap(
     supported on at most n/4 coordinates; the frequency must stay below
     (2/3)^n plus four standard errors.  If 2 gamma >= 1 every projection
     trivially fails the test and the report is marked not applicable.
+
+    Trial t draws its projection from its own stream
+    ``seed.derive("range-gap", t)``; trials are evaluated in stacks: the
+    trace prune runs on every trial and both halves at once, and one batched
+    SVD checks the surviving (trial, half, support) triples.
     """
     r = n // 4
     if r < 1:
@@ -613,21 +696,22 @@ def verify_range_support_gap(
     k = n // 2
     two_gamma = 2 * gamma
     thresh = 1.0 - two_gamma * two_gamma  # hit iff smax^2 >= thresh
+    step = max(1, _STACK_FLOATS // (_TRIAL_CHUNK * 2 * r * k))
     hits = 0
-    for t in range(trials):
-        full = _haar_frame(n, n, seed.derive("range-gap", t).generator())
-        hit = False
-        for cols in (full[:, :k], full[:, k:]):
-            diag = np.sum(cols * cols, axis=1)
-            cand = np.sum(diag[blocks], axis=1) >= thresh  # trace prune
-            if not np.any(cand):
-                continue
-            sub = cols[blocks[cand]]
+    for full in _trial_frames(n, n, trials, seed, "range-gap"):
+        halves = np.stack((full[..., :k], full[..., k:]), axis=1)  # (t, 2, n, k)
+        diag = np.sum(halves * halves, axis=-1)
+        hit = np.zeros(full.shape[0], dtype=bool)
+        for c in range(0, blocks.shape[0], step):
+            live = np.flatnonzero(~hit)
+            part = blocks[c : c + step]
+            trace = np.sum(diag[live][..., part], axis=-1)
+            ti, half, bi = np.nonzero(trace >= thresh)  # trace prune
+            ti = live[ti]
+            sub = halves[ti[:, None], half[:, None], part[bi]]  # (cand, r, k)
             s = np.linalg.svd(sub, compute_uv=False)
-            if np.any(s[:, 0] ** 2 >= thresh):
-                hit = True
-                break
-        hits += hit
+            hit[ti[s[:, 0] ** 2 >= thresh]] = True
+        hits += int(np.count_nonzero(hit))
     freq = hits / trials
     bound = (2.0 / 3.0) ** n
     se = math.sqrt(max(freq * (1 - freq), 1.0 / trials) / trials)

@@ -95,6 +95,20 @@ def _haar_frame(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     return q * signs
 
 
+def _haar_frames(n: int, k: int, rngs) -> np.ndarray:
+    """Stack of :func:`_haar_frame` draws, shape (len(rngs), n, k).
+
+    Each generator makes the same single Gaussian draw as in _haar_frame and
+    one batched QR factors them all, so frame i equals
+    ``_haar_frame(n, k, rngs[i])`` bit for bit.
+    """
+    g = np.stack([rng.standard_normal((n, k)) for rng in rngs])
+    q, r = np.linalg.qr(g)
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    signs[signs == 0] = 1.0
+    return q * signs[:, None, :]
+
+
 def sample_frame(n: int, k: int, seed: Seed) -> Frame:
     """Rotation-invariant random k-dimensional frame in R^n."""
     if not 0 < k <= n:

@@ -103,6 +103,20 @@ def test_subcommand_smoke(tmp_path):
     assert rep["summary"]["ok"] is True
 
 
+def test_mc_bounds_golden_hits(tmp_path):
+    # hit counts of the five Monte Carlo rows, recorded from the per-trial
+    # implementation; the stacked one must reproduce them exactly
+    args = ["mc-bounds", "--seed", "5", "--trials", "1000"]
+    code1, rep1 = run_json(tmp_path, "a.json", args)
+    code2, rep2 = run_json(tmp_path, "b.json", args)
+    assert code1 == code2 == EXIT_OK
+    assert [row["details"]["hits"] for row in rep1["lemmas"]] == [73, 12, 253, 780, 2]
+    for rep in (rep1, rep2):
+        rep.pop("timing")
+        rep["config"].pop("out")
+    assert rep1 == rep2
+
+
 _LEMMA_SUMMARY = {"checks_total", "checks_applicable", "checks_passed",
                   "failed_ids", "not_applicable_ids", "ok"}
 _ENVELOPE = {"version", "config", "summary", "timing"}

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from normlab import (
+    LemmaReport,
     ParameterSet,
     Seed,
     make_norm_spec,
@@ -27,6 +29,9 @@ from normlab import (
     verify_support_characterization,
     verify_typicality_probability,
 )
+from normlab import lemmas
+from normlab.lemmas import _distinct_value_configs, _support_blocks
+from normlab.linalg import _haar_frame
 from test_norms import diag_spec, euclidean_spec
 
 SQRT2 = math.sqrt(2.0)
@@ -251,6 +256,134 @@ def test_range_support_gap():
     assert not rep_na.applicable
     with pytest.raises(ValueError):
         verify_range_support_gap(2, 1000, Seed(306))
+
+
+# Per-trial reference loops: one Haar frame and one small SVD per trial and
+# configuration, with the early break of distinct mode.  They share only the
+# frame sampler, the seeds and the configuration enumerators with the stacked
+# implementations.
+
+def _mc_report(lemma_id, instance, bound, hits, trials, seed, details,
+               applicable=True):
+    freq = hits / trials
+    se = math.sqrt(max(freq * (1 - freq), 1.0 / trials) / trials)
+    margin = bound + 4.0 * se - freq
+    details = {"frequency": freq, "standard_error": se, **details, "hits": hits}
+    return LemmaReport(
+        lemma_id=lemma_id, instance=instance, bound_value=float(bound),
+        measured_value=float(freq),
+        margin=float(margin if applicable else -math.inf), trials=trials,
+        seed=(seed.master, seed.stream),
+        passed=bool(applicable and margin >= 0.0), applicable=applicable,
+        tolerance=0.0, details=details,
+    )
+
+
+def reference_small_support_incidence(n, m, size_param, gamma, mode, trials,
+                                      seed, budget=20_000):
+    exhaustive = True
+    if mode == "support":
+        r = size_param
+        blocks = _support_blocks(n, r)
+        if blocks.shape[0] > budget:
+            idx = seed.derive("support-sample").generator().choice(
+                blocks.shape[0], size=budget, replace=False)
+            blocks = blocks[idx]
+            exhaustive = False
+        log_b = n * math.log(288.0) + (n - m - r) * math.log(gamma)
+    else:
+        k = size_param
+        configs, exhaustive = _distinct_value_configs(n, k, budget, seed)
+        log_b = (k * math.log(3.0 / gamma) + n * math.log(48.0 * k)
+                 + (n - m) * math.log(gamma))
+    bound = min(1.0, math.exp(min(log_b, 50.0)))
+    hits = 0
+    for t in range(trials):
+        f = _haar_frame(n, m, seed.derive("incidence", t).generator())
+        if mode == "support":
+            smax = np.linalg.svd(f[blocks], compute_uv=False)[:, 0].max()
+        else:
+            smax = 0.0
+            for lab, signs in configs:
+                j = int(lab.max()) + 1
+                b = np.zeros((n, j))
+                b[np.arange(n), lab] = signs
+                b /= np.linalg.norm(b, axis=0, keepdims=True)
+                sv = np.linalg.svd(b.T @ f, compute_uv=False)
+                smax = max(smax, float(sv[0]))
+                if smax * smax >= 1.0 - gamma * gamma:
+                    break
+        if 1.0 - smax * smax <= gamma * gamma:
+            hits += 1
+    return _mc_report(
+        "small_support", f"n={n},m={m},{mode}={size_param},gamma={gamma}",
+        bound, hits, trials, seed,
+        {"union_bound": bound, "exhaustive": exhaustive, "mode": mode},
+    )
+
+
+def reference_range_support_gap(n, trials, seed, gamma):
+    r, k = n // 4, n // 2
+    blocks = _support_blocks(n, r)
+    thresh = 1.0 - (2 * gamma) ** 2
+    hits = 0
+    for t in range(trials):
+        full = _haar_frame(n, n, seed.derive("range-gap", t).generator())
+        hit = False
+        for cols in (full[:, :k], full[:, k:]):
+            diag = np.sum(cols * cols, axis=1)
+            cand = np.sum(diag[blocks], axis=1) >= thresh
+            if np.any(cand):
+                s = np.linalg.svd(cols[blocks[cand]], compute_uv=False)
+                hit = hit or bool(np.any(s[:, 0] ** 2 >= thresh))
+        hits += hit
+    return _mc_report(
+        "range_support_gap", f"n={n},gamma={gamma}", (2.0 / 3.0) ** n, hits,
+        trials, seed, {"gamma": gamma, "support_budget": r},
+        applicable=2 * gamma < 1,
+    )
+
+
+@pytest.mark.parametrize("args, budget", [
+    ((6, 3, 1, 0.3, "support"), 20_000),
+    ((6, 3, 1, 0.3, "distinct"), 20_000),   # early break on ~78% of trials
+    ((6, 3, 2, 0.3, "distinct"), 50),       # sampled configurations
+    ((6, 3, 2, 0.3, "support"), 5),         # sampled supports
+])
+def test_small_support_incidence_matches_per_trial_loop(args, budget):
+    seed = Seed(2718)
+    rep = small_support_incidence(*args, 1001, seed, budget=budget)
+    assert rep == reference_small_support_incidence(*args, 1001, seed, budget)
+    assert rep.details["exhaustive"] == (budget == 20_000)
+
+
+@pytest.mark.parametrize("gamma", [0.01, 0.3])
+def test_range_support_gap_matches_per_trial_loop(gamma):
+    seed = Seed(2719)
+    rep = verify_range_support_gap(8, 1001, seed, gamma=gamma)
+    assert rep == reference_range_support_gap(8, 1001, seed, gamma)
+
+
+def test_monte_carlo_stacks_are_chunk_invariant_and_bounded(monkeypatch):
+    # a 16k-float stack cap cuts trials and configurations into many chunks:
+    # the reports must not change, and the traced peak must follow the cap
+    # (the default cap stacks ~1.8M floats, 14 MB, for the support case)
+    cases = [  # 631, 702 and 778 hits of 1000
+        lambda: small_support_incidence(10, 5, 3, 0.1, "support", 1000, Seed(9)),
+        lambda: small_support_incidence(8, 5, 2, 0.05, "distinct", 1000, Seed(9),
+                                        budget=200),
+        lambda: verify_range_support_gap(8, 1000, Seed(9), gamma=0.1),
+    ]
+    full = [case() for case in cases]
+    monkeypatch.setattr(lemmas, "_STACK_FLOATS", 1 << 14)
+    for case, rep in zip(cases, full):
+        tracemalloc.start()
+        try:
+            assert case() == rep
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
 
 # ----------------------------------------------------------------------

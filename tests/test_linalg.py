@@ -11,6 +11,7 @@ from normlab import (
     sample_unit_sphere,
     subspace_incidence_probability,
 )
+from normlab.linalg import _haar_frame, _haar_frames
 
 
 def projection_of(spec):
@@ -87,6 +88,16 @@ def test_norm_spec_basis_bitwise_deterministic():
     assert np.array_equal(a.basis.columns, frame.columns)
     c = make_norm_spec(4, 0.1, Seed(124), rank=2)
     assert not np.array_equal(a.basis.columns, c.basis.columns)
+
+
+@pytest.mark.parametrize("n, k", [(6, 3), (8, 8)])
+def test_haar_frames_stack_matches_per_seed_frames(n, k):
+    seeds = [Seed(77).derive("stack", t) for t in range(64)]
+    stack = _haar_frames(n, k, [s.generator() for s in seeds])
+    assert stack.shape == (64, n, k)
+    for s, frame in zip(seeds, stack):
+        ref = _haar_frame(n, k, s.generator())
+        assert np.array_equal(frame.view(np.uint64), ref.view(np.uint64))
 
 
 def test_make_norm_spec_rank_domain():
