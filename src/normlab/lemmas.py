@@ -25,6 +25,7 @@ from .linalg import (
     Frame,
     Seed,
     _haar_frames,
+    _stream_normals,
     sample_unit_sphere,
     subspace_incidence_probability,
 )
@@ -49,10 +50,14 @@ from .subspaces import (
 
 MC_SIGMAS = 4.0  # Monte Carlo acceptance band, in standard errors
 # Monte Carlo trials are evaluated in stacks: at most _TRIAL_CHUNK trials at a
-# time, and configurations in chunks that keep one stacked SVD input near
+# time, and configurations in chunks that keep one stacked block array near
 # _STACK_FLOATS entries.
 _TRIAL_CHUNK = 1000
 _STACK_FLOATS = 1 << 20
+# A closed-form top singular value squared of a block with entries <= 1 is
+# off by a few ulps; a hit decision is taken from it only when it lies more
+# than this far from the threshold, and from the block's SVD otherwise.
+_SIGMA2_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -494,7 +499,7 @@ def _distinct_value_configs(n: int, k: int, budget: int, seed: Seed):
         j = int(rng.integers(1, k + 1))
         lab = rng.integers(0, j, size=n)
         # ensure all j labels appear, else relabel compactly
-        uniq, lab = np.unique(lab, return_inverse=True)
+        lab = np.unique(lab, return_inverse=True)[1]
         signs = rng.choice([-1.0, 1.0], size=n)
         out.append((lab, signs))
     return out, False
@@ -509,19 +514,54 @@ def _trial_frames(n: int, k: int, trials: int, seed: Seed, tag: str):
     step = max(1, min(_TRIAL_CHUNK, _STACK_FLOATS // (n * k)))
     for lo in range(0, trials, step):
         hi = min(trials, lo + step)
-        rngs = [seed.derive(tag, t).generator() for t in range(lo, hi)]
-        yield _haar_frames(n, k, rngs)
+        streams = [seed.derive(tag, t).stream for t in range(lo, hi)]
+        yield _haar_frames(_stream_normals(seed.master, streams, (n, k)))
 
 
-def _support_smax(f: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """Per trial, the largest singular value of f[t][block] over all blocks."""
+def _top_sq(a: np.ndarray, thresh: float) -> np.ndarray:
+    """Top singular value squared of each block of the stack a (..., p, q),
+    as far as comparisons with ``thresh`` go.
+
+    Blocks with min(p, q) <= 2 take the closed form: a row's or column's sum
+    of squares, or the larger eigenvalue (x+y)/2 + sqrt(((x-y)/2)^2 + b^2)
+    of the 2 x 2 Gram matrix [[x, b], [b, y]].  Larger blocks take their sum
+    of squares, which bounds s^2 from above.  An entry within _SIGMA2_MARGIN
+    of ``thresh`` (for a bound: above thresh - _SIGMA2_MARGIN) takes
+    ``s[0] * s[0]`` from np.linalg.svd of its block instead, so every
+    decision against ``thresh`` is the one the SVD alone would make.
+    """
+    rows = a if a.shape[-2] <= a.shape[-1] else np.swapaxes(a, -1, -2)
+    if rows.shape[-2] == 2:
+        x = np.einsum("...j,...j->...", rows[..., 0, :], rows[..., 0, :])
+        y = np.einsum("...j,...j->...", rows[..., 1, :], rows[..., 1, :])
+        b = np.einsum("...j,...j->...", rows[..., 0, :], rows[..., 1, :])
+        h = 0.5 * (x - y)
+        s2 = 0.5 * (x + y) + np.sqrt(h * h + b * b)
+    else:
+        s2 = np.einsum("...ij,...ij->...", rows, rows)
+    if rows.shape[-2] > 2:  # the sum of squares only bounds s^2 from above
+        near = s2 >= thresh - _SIGMA2_MARGIN
+    else:
+        near = np.abs(s2 - thresh) <= _SIGMA2_MARGIN
+    if near.all():
+        s = np.linalg.svd(a, compute_uv=False)[..., 0]
+        return s * s
+    if near.any():
+        s = np.linalg.svd(a[near], compute_uv=False)[:, 0]
+        s2[near] = s * s
+    return s2
+
+
+def _support_top_sq(f: np.ndarray, blocks: np.ndarray, thresh: float) -> np.ndarray:
+    """Per trial, the largest top singular value squared of f[t][block] over
+    all blocks, exact for comparisons with ``thresh``."""
     t, _, m = f.shape
     step = max(1, _STACK_FLOATS // (t * blocks.shape[1] * m))
-    smax = np.zeros(t)
+    top = np.zeros(t)
     for c in range(0, blocks.shape[0], step):
-        s = np.linalg.svd(f[:, blocks[c : c + step]], compute_uv=False)
-        smax = np.maximum(smax, s[..., 0].max(axis=1))
-    return smax
+        s2 = _top_sq(f[:, blocks[c : c + step]], thresh)
+        top = np.maximum(top, s2.max(axis=1))
+    return top
 
 
 def _config_chunks(n: int, m: int, k: int, configs) -> list[list[tuple]]:
@@ -554,27 +594,27 @@ def _config_chunks(n: int, m: int, k: int, configs) -> list[list[tuple]]:
     return chunks
 
 
-def _distinct_smax(f: np.ndarray, chunks, thresh: float) -> np.ndarray:
-    """Per trial, the running maximum of the top singular value of b^T f[t]
-    over the configurations in order, stopped at the first one whose square
+def _distinct_top_sq(f: np.ndarray, chunks, thresh: float) -> np.ndarray:
+    """Per trial, the running maximum of the top singular value squared of
+    b^T f[t] over the configurations in order, stopped at the first one that
     reaches ``thresh``; trials that stopped skip the later chunks."""
-    smax = np.zeros(f.shape[0])
+    top = np.zeros(f.shape[0])
     live = np.arange(f.shape[0])
     for groups in chunks:
         if live.size == 0:
             break
         width = sum(pos.size for pos, _ in groups)
-        s = np.empty((live.size, width))
+        s2 = np.empty((live.size, width))
         fl = f[live][:, None]
         for pos, bt in groups:
-            s[:, pos] = np.linalg.svd(bt[None] @ fl, compute_uv=False)[..., 0]
-        cross = s * s >= thresh
+            s2[:, pos] = _top_sq(bt[None] @ fl, thresh)
+        cross = s2 >= thresh
         stopped = cross.any(axis=1)
         last = np.where(stopped, cross.argmax(axis=1), width - 1)
-        s[np.arange(width) > last[:, None]] = 0.0
-        smax[live] = np.maximum(smax[live], s.max(axis=1))
+        s2[np.arange(width) > last[:, None]] = 0.0
+        top[live] = np.maximum(top[live], s2.max(axis=1))
         live = live[~stopped]
-    return smax
+    return top
 
 
 def small_support_incidence(
@@ -602,8 +642,11 @@ def small_support_incidence(
 
     Trial t draws its subspace from its own stream
     ``seed.derive("incidence", t)``; trials are evaluated in stacks (one
-    batched QR, then batched SVDs over chunks of configurations), which
-    gives the same hit count as a trial-by-trial loop.  In distinct mode a
+    batched QR, then chunks of configurations), which gives the same hit
+    count as a trial-by-trial loop.  Each block's top singular value squared
+    is decided in closed form when the block has at most two rows or
+    columns, falling back to the SVD within a rounding margin of the
+    threshold and for larger blocks (see ``_top_sq``).  In distinct mode a
     trial stops at the first configuration that catches it, and stopped
     trials skip the later chunks.
     """
@@ -639,10 +682,10 @@ def small_support_incidence(
     hits = 0
     for f in _trial_frames(n, m, trials, seed, "incidence"):
         if mode == "support":
-            smax = _support_smax(f, blocks)
+            top = _support_top_sq(f, blocks, 1.0 - g2)
         else:
-            smax = _distinct_smax(f, chunks, 1.0 - g2)
-        hits += int(np.count_nonzero(1.0 - smax * smax <= g2))
+            top = _distinct_top_sq(f, chunks, 1.0 - g2)
+        hits += int(np.count_nonzero(1.0 - top <= g2))
     freq = hits / trials
     se = math.sqrt(max(freq * (1 - freq), 1.0 / trials) / trials)
     margin = bound + MC_SIGMAS * se - freq
@@ -683,9 +726,11 @@ def verify_range_support_gap(
     trivially fails the test and the report is marked not applicable.
 
     Trial t draws its projection from its own stream
-    ``seed.derive("range-gap", t)``; trials are evaluated in stacks: the
-    trace prune runs on every trial and both halves at once, and one batched
-    SVD checks the surviving (trial, half, support) triples.
+    ``seed.derive("range-gap", t)``; trials are evaluated in stacks, and the
+    top singular value squared of every (trial, half, support) block is
+    decided against the threshold in closed form when the support has at
+    most two coordinates, falling back to the SVD within a rounding margin of
+    the threshold and for larger supports (see ``_top_sq``).
     """
     r = n // 4
     if r < 1:
@@ -696,21 +741,15 @@ def verify_range_support_gap(
     k = n // 2
     two_gamma = 2 * gamma
     thresh = 1.0 - two_gamma * two_gamma  # hit iff smax^2 >= thresh
-    step = max(1, _STACK_FLOATS // (_TRIAL_CHUNK * 2 * r * k))
+    step = max(1, _STACK_FLOATS // (_TRIAL_CHUNK * r * n))
     hits = 0
     for full in _trial_frames(n, n, trials, seed, "range-gap"):
-        halves = np.stack((full[..., :k], full[..., k:]), axis=1)  # (t, 2, n, k)
-        diag = np.sum(halves * halves, axis=-1)
         hit = np.zeros(full.shape[0], dtype=bool)
-        for c in range(0, blocks.shape[0], step):
-            live = np.flatnonzero(~hit)
-            part = blocks[c : c + step]
-            trace = np.sum(diag[live][..., part], axis=-1)
-            ti, half, bi = np.nonzero(trace >= thresh)  # trace prune
-            ti = live[ti]
-            sub = halves[ti[:, None], half[:, None], part[bi]]  # (cand, r, k)
-            s = np.linalg.svd(sub, compute_uv=False)
-            hit[ti[s[:, 0] ** 2 >= thresh]] = True
+        for half in (full[..., :k], full[..., k:]):
+            for c in range(0, blocks.shape[0], step):
+                live = np.flatnonzero(~hit)
+                sub = half[live[:, None, None], blocks[c : c + step]]  # (live, c, r, k)
+                hit[live[(_top_sq(sub, thresh) >= thresh).any(axis=1)]] = True
         hits += int(np.count_nonzero(hit))
     freq = hits / trials
     bound = (2.0 / 3.0) ** n

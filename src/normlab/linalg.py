@@ -23,6 +23,15 @@ ORTHONORMALITY_TOL = 1e-10
 UNIT_TOL = 1e-12
 
 _MASK64 = (1 << 64) - 1
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
+
+# numpy's SeedSequence hash constants (pool of four 32-bit words) and the
+# PCG64 128-bit LCG multiplier, for the batched seeding in _stream_normals.
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 @dataclass(frozen=True)
@@ -81,6 +90,76 @@ class Frame:
         return self.columns.shape[1]
 
 
+def _hashmix(value, hc: int, mult: int):
+    """SeedSequence's hash step on ints or uint32 arrays: returns the hashed
+    value and the next hash constant."""
+    value = value ^ hc
+    hc = (hc * mult) & _MASK32
+    value = (value * hc) & _MASK32
+    return value ^ (value >> 16), hc
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two words, on ints or uint32 arrays."""
+    r = (_SS_MIX_L * x - _SS_MIX_R * y) & _MASK32
+    return r ^ (r >> 16)
+
+
+def _stream_normals(
+    master: int, streams: list[int], shape: tuple[int, ...]
+) -> np.ndarray:
+    """Stacked ``Seed(master, s).generator().standard_normal(shape)`` over
+    the streams s, shape (len(streams), *shape), bit for bit.
+
+    SeedSequence(entropy=master, spawn_key=(s,)) hashes the master,
+    zero-padded to four 32-bit words, into its pool the same way for every
+    stream; only the spawn key's one word (s < 2**32) or two words differ.
+    Those are mixed in as uint32 array arithmetic over all streams at once,
+    followed by generate_state(4, uint64) and PCG64's seeding step, so one
+    reused PCG64/Generator pair replaces a SeedSequence, a PCG64 and a
+    Generator per stream.
+    """
+    out = np.empty((len(streams), *shape))
+    if not streams:
+        return out
+    hc, pool = _SS_INIT_A, []
+    for word in (master & _MASK32, master >> 32, 0, 0):
+        v, hc = _hashmix(word, hc, _SS_MULT_A)
+        pool.append(v)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                v, hc = _hashmix(pool[src], hc, _SS_MULT_A)
+                pool[dst] = _mix(pool[dst], v)
+    s = np.array(streams, dtype=np.uint64)
+    low = (s & np.uint64(_MASK32)).astype(np.uint32)
+    high = (s >> np.uint64(32)).astype(np.uint32)
+    pool = [np.full(len(streams), w, dtype=np.uint32) for w in pool]
+    for word, active in ((low, True), (high, high != 0)):
+        for dst in range(4):
+            v, hc = _hashmix(word, hc, _SS_MULT_A)
+            pool[dst] = np.where(active, _mix(pool[dst], v), pool[dst])
+    hc, state = _SS_INIT_B, []
+    for i in range(8):  # generate_state(4, uint64)
+        v, hc = _hashmix(pool[i % 4], hc, _SS_MULT_B)
+        state.append(v.astype(np.uint64))
+    # little-endian pairs of words make the four uint64 state words
+    words = [(state[2 * j + 1] << np.uint64(32)) | state[2 * j] for j in range(4)]
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    for i, (s0, s1, i0, i1) in enumerate(zip(*(w.tolist() for w in words))):
+        inc = ((((i0 << 64) | i1) << 1) | 1) & _MASK128
+        st = ((inc + ((s0 << 64) | s1)) * _PCG_MULT + inc) & _MASK128
+        bitgen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": st, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        gen.standard_normal(shape, out=out[i])
+    return out
+
+
 def _haar_frame(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """Orthonormal n x k frame from the rotation-invariant ensemble.
 
@@ -95,14 +174,12 @@ def _haar_frame(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     return q * signs
 
 
-def _haar_frames(n: int, k: int, rngs) -> np.ndarray:
-    """Stack of :func:`_haar_frame` draws, shape (len(rngs), n, k).
+def _haar_frames(g: np.ndarray) -> np.ndarray:
+    """Stack of :func:`_haar_frame` frames from stacked draws g, (t, n, k).
 
-    Each generator makes the same single Gaussian draw as in _haar_frame and
-    one batched QR factors them all, so frame i equals
-    ``_haar_frame(n, k, rngs[i])`` bit for bit.
+    One batched QR factors them all, so frame i equals ``_haar_frame(n, k,
+    rng)`` bit for bit when ``g[i]`` is that rng's ``standard_normal((n, k))``.
     """
-    g = np.stack([rng.standard_normal((n, k)) for rng in rngs])
     q, r = np.linalg.qr(g)
     signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0] = 1.0

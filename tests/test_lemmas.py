@@ -344,12 +344,16 @@ def reference_range_support_gap(n, trials, seed, gamma):
     )
 
 
-@pytest.mark.parametrize("args, budget", [
+SUPPORT_CASES = [
     ((6, 3, 1, 0.3, "support"), 20_000),
     ((6, 3, 1, 0.3, "distinct"), 20_000),   # early break on ~78% of trials
     ((6, 3, 2, 0.3, "distinct"), 50),       # sampled configurations
     ((6, 3, 2, 0.3, "support"), 5),         # sampled supports
-])
+    ((7, 3, 3, 0.1, "support"), 20_000),    # 3 x 3 blocks, 674 hits
+]
+
+
+@pytest.mark.parametrize("args, budget", SUPPORT_CASES)
 def test_small_support_incidence_matches_per_trial_loop(args, budget):
     seed = Seed(2718)
     rep = small_support_incidence(*args, 1001, seed, budget=budget)
@@ -362,6 +366,60 @@ def test_range_support_gap_matches_per_trial_loop(gamma):
     seed = Seed(2719)
     rep = verify_range_support_gap(8, 1001, seed, gamma=gamma)
     assert rep == reference_range_support_gap(8, 1001, seed, gamma)
+
+
+@pytest.mark.parametrize("n", [9, 12])
+def test_range_support_gap_odd_and_wide_match_per_trial_loop(n):
+    # n = 9 splits into halves of 4 and 5 columns; n = 12 has 3 x 6 blocks,
+    # which have no closed form (244 and 469 hits)
+    seed = Seed(2720)
+    rep = verify_range_support_gap(n, 1001, seed, gamma=0.05)
+    assert rep == reference_range_support_gap(n, 1001, seed, 0.05)
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+def test_top_sq_takes_the_svd_near_the_threshold(monkeypatch, rows):
+    # 1 x 5 and 2 x 5 blocks (and their transposes) with the threshold within
+    # 1e-15 of their top singular value squared: the value must come from the
+    # SVD, and so must every decision against the threshold
+    rng = np.random.default_rng(31 + rows)
+    a = rng.standard_normal((4, rows, 5))
+    a *= np.array([0.3, 0.5, 0.7, 0.9])[:, None, None] / np.linalg.norm(
+        a, axis=(1, 2), keepdims=True)
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda x, **kw: calls.append(x.shape) or svd(x, **kw))
+    for block in (a, np.swapaxes(a, 1, 2)):
+        s = svd(block, compute_uv=False)[:, 0]
+        svd_sq = s * s
+        for i, offset in enumerate((-1e-15, 0.0, 5e-16, 1e-15)):
+            thresh = svd_sq[i] + offset
+            calls.clear()
+            got = lemmas._top_sq(block, thresh)
+            assert calls == [(1,) + block.shape[1:]]
+            assert got[i] == svd_sq[i]
+            assert (got >= thresh)[i] == (svd_sq[i] >= thresh)
+            others = np.arange(4) != i
+            assert np.allclose(got[others], svd_sq[others], rtol=0, atol=1e-15)
+    calls.clear()
+    far = lemmas._top_sq(a, 0.99)  # every value is <= 0.81: no SVD at all
+    assert calls == [] and np.allclose(far, svd_sq, rtol=0, atol=1e-15)
+
+
+# a margin of 1.0 sends every block to the SVD; the reports must not change
+
+@pytest.mark.parametrize("args, budget", SUPPORT_CASES)
+def test_svd_only_support_decisions_match_per_trial_loop(monkeypatch, args,
+                                                          budget):
+    monkeypatch.setattr(lemmas, "_SIGMA2_MARGIN", 1.0)
+    test_small_support_incidence_matches_per_trial_loop(args, budget)
+
+
+@pytest.mark.parametrize("gamma", [0.01, 0.3])
+def test_svd_only_range_decisions_match_per_trial_loop(monkeypatch, gamma):
+    monkeypatch.setattr(lemmas, "_SIGMA2_MARGIN", 1.0)
+    test_range_support_gap_matches_per_trial_loop(gamma)
 
 
 def test_monte_carlo_stacks_are_chunk_invariant_and_bounded(monkeypatch):

@@ -11,7 +11,7 @@ from normlab import (
     sample_unit_sphere,
     subspace_incidence_probability,
 )
-from normlab.linalg import _haar_frame, _haar_frames
+from normlab.linalg import _haar_frame, _haar_frames, _stream_normals
 
 
 def projection_of(spec):
@@ -93,11 +93,30 @@ def test_norm_spec_basis_bitwise_deterministic():
 @pytest.mark.parametrize("n, k", [(6, 3), (8, 8)])
 def test_haar_frames_stack_matches_per_seed_frames(n, k):
     seeds = [Seed(77).derive("stack", t) for t in range(64)]
-    stack = _haar_frames(n, k, [s.generator() for s in seeds])
+    stack = _haar_frames(np.stack([s.generator().standard_normal((n, k))
+                                   for s in seeds]))
     assert stack.shape == (64, n, k)
     for s, frame in zip(seeds, stack):
         ref = _haar_frame(n, k, s.generator())
         assert np.array_equal(frame.view(np.uint64), ref.view(np.uint64))
+
+
+EDGE_WORDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+@pytest.mark.parametrize("shape", [(6, 3), (8, 8)])
+def test_stream_normals_match_per_seed_generators(shape):
+    # derived streams under edge masters, then directly built streams whose
+    # spawn key is one 32-bit word (< 2**32) or two
+    cases = [(m, [Seed(m, 5).derive("trial", t).stream for t in range(3, 11)])
+             for m in EDGE_WORDS]
+    cases += [(m, EDGE_WORDS) for m in (7, 2**64 - 1)]
+    for master, streams in cases:
+        got = _stream_normals(master, streams, shape)
+        ref = np.stack([Seed(master, s).generator().standard_normal(shape)
+                        for s in streams])
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+    assert _stream_normals(3, [], shape).shape == (0, *shape)
 
 
 def test_make_norm_spec_rank_domain():
