@@ -12,8 +12,8 @@ Subcommands
 A flat ``key = value`` config file may be given as a positional argument;
 explicit flags override file values.  Reports are emitted as JSON (default)
 or CSV; timing information is excluded from determinism guarantees.  Exit
-codes: 0 all checks passed, 1 a check failed, 2 bad input or config, 3 a
-solver could not certify its result.
+codes: 0 all checks passed, 1 a check failed, 2 bad input or config (or an
+output path that cannot be written), 3 a solver could not certify its result.
 """
 
 from __future__ import annotations
@@ -371,8 +371,9 @@ def _emit(report: dict, opts: dict) -> None:
 # running a subcommand
 # ---------------------------------------------------------------------------
 
-def _run_command(command: str, opts: dict) -> int:
-    """Build the command's sections, wrap them in the report envelope, emit."""
+def _run_command(command: str, opts: dict) -> tuple[dict, int]:
+    """Build the command's sections and wrap them in the report envelope;
+    returns the report and its exit code."""
     t0 = time.perf_counter()
     builders, summarize = _COMMANDS[command]
     sections = {key: build(opts) for key, build in builders}
@@ -387,8 +388,7 @@ def _run_command(command: str, opts: dict) -> int:
         "summary": summary,
         "timing": {"seconds": time.perf_counter() - t0},
     }
-    _emit(report, opts)
-    return EXIT_OK if summary["ok"] else EXIT_CHECK_FAILED
+    return report, EXIT_OK if summary["ok"] else EXIT_CHECK_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -427,13 +427,19 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     try:
-        return _run_command(args.command, opts)
+        report, code = _run_command(args.command, opts)
     except (DualNormError, UndecidableConditionError) as exc:
         print(f"solver could not certify its result: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    try:
+        _emit(report, opts)
+    except OSError as exc:  # the output path cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    return code
 
 
 if __name__ == "__main__":

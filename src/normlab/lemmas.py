@@ -50,7 +50,8 @@ from .subspaces import (
 
 MC_SIGMAS = 4.0  # Monte Carlo acceptance band, in standard errors
 # Monte Carlo trials are evaluated in stacks: at most _TRIAL_CHUNK trials at a
-# time, and configurations in chunks that keep one stacked block array near
+# time, each checked against a family of matrices b^T (supports or sign-block
+# configurations) in chunks that keep one stacked product b^T f near
 # _STACK_FLOATS entries.
 _TRIAL_CHUNK = 1000
 _STACK_FLOATS = 1 << 20
@@ -94,13 +95,14 @@ def _report(
     applicable: bool = True,
     details: dict | None = None,
 ) -> LemmaReport:
+    """Fold one outcome into a report; a not-applicable one has margin -inf."""
     passed = bool(applicable and margin >= -tol)
     return LemmaReport(
         lemma_id=lemma_id,
         instance=instance,
         bound_value=float(bound),
         measured_value=float(measured),
-        margin=float(margin),
+        margin=float(margin) if applicable else -math.inf,
         trials=int(trials),
         seed=(seed.master, seed.stream) if seed is not None else None,
         passed=passed,
@@ -155,21 +157,10 @@ def verify_goodness_equivalence(
         "worst_deficiency": worst,
         "directions": [name for name, _, _ in checks],
     }
-    if not checks:
-        return _report(
-            "goodness_equivalence",
-            f"epsilon={epsilon}",
-            0.0,
-            worst,
-            -math.inf,
-            samples,
-            seed,
-            tol,
-            applicable=False,
-            details=details,
-        )
-    name, bound, measured = min(checks, key=lambda c: c[1] - c[2])
-    details["binding_direction"] = name
+    bound, measured = 0.0, worst
+    if checks:
+        name, bound, measured = min(checks, key=lambda c: c[1] - c[2])
+        details["binding_direction"] = name
     return _report(
         "goodness_equivalence",
         f"epsilon={epsilon}",
@@ -179,6 +170,7 @@ def verify_goodness_equivalence(
         samples,
         seed,
         tol,
+        applicable=bool(checks),
         details=details,
     )
 
@@ -285,21 +277,10 @@ def verify_support_characterization(
         details["descent_target"] = predicted
         details["descent_achieved"] = bool(val <= predicted + tol)
 
-    if not checks:
-        return _report(
-            "support_characterization",
-            f"delta={delta}",
-            0.0,
-            cert.raw,
-            -math.inf,
-            1,
-            seed,
-            tol,
-            applicable=False,
-            details=details,
-        )
-    name, bound, measured, margin = min(checks, key=lambda c: c[3])
-    details["binding_direction"] = name
+    bound, measured, margin = 0.0, cert.raw, -math.inf
+    if checks:
+        name, bound, measured, margin = min(checks, key=lambda c: c[3])
+        details["binding_direction"] = name
     return _report(
         "support_characterization",
         f"delta={delta}",
@@ -309,6 +290,7 @@ def verify_support_characterization(
         1,
         seed,
         tol,
+        applicable=bool(checks),
         details=details,
     )
 
@@ -343,19 +325,6 @@ def verify_approx_eigenvector(
         "qy_sq": q2,
         "split_identity_gap": abs(identity - tau),
     }
-    if tau > 0.25:
-        return _report(
-            "approx_eigenvector",
-            f"nu={nu}",
-            2 * tau,
-            min(p2, q2),
-            -math.inf,
-            1,
-            None,
-            tol,
-            applicable=False,
-            details=details,
-        )
     measured = min(p2, q2)
     bound = 2 * tau
     return _report(
@@ -367,6 +336,7 @@ def verify_approx_eigenvector(
         1,
         None,
         tol,
+        applicable=tau <= 0.25,
         details=details,
     )
 
@@ -552,52 +522,42 @@ def _top_sq(a: np.ndarray, thresh: float) -> np.ndarray:
     return s2
 
 
-def _support_top_sq(f: np.ndarray, blocks: np.ndarray, thresh: float) -> np.ndarray:
-    """Per trial, the largest top singular value squared of f[t][block] over
-    all blocks, exact for comparisons with ``thresh``."""
-    t, _, m = f.shape
-    step = max(1, _STACK_FLOATS // (t * blocks.shape[1] * m))
-    top = np.zeros(t)
-    for c in range(0, blocks.shape[0], step):
-        s2 = _top_sq(f[:, blocks[c : c + step]], thresh)
-        top = np.maximum(top, s2.max(axis=1))
-    return top
+def _family_chunks(bts, width: int) -> list[list[tuple]]:
+    """Cut a family of matrices b^T (r x n each, r may vary) into the chunks
+    the family kernel walks through, in order.
 
-
-def _config_chunks(n: int, m: int, k: int, configs) -> list[list[tuple]]:
-    """The normalised block matrices b^T of the configurations, built once.
-
-    Configurations are cut, in order, into chunks that start at 8 and double
-    up to the stack cap, so that trials which stop early skip most of them;
-    inside a chunk those with j blocks are stacked into one (c_j, j, n)
-    array, listed with their positions in the chunk.
+    Chunks start at 8 members and double up to the cap that keeps one stacked
+    product of _TRIAL_CHUNK trials with frames of ``width`` columns near
+    _STACK_FLOATS entries, so that trials which stop early skip most of the
+    family; inside a chunk the members with r rows are stacked into one
+    (c_r, r, n) array, listed with their positions in the chunk.
     """
-    bts = []
-    for lab, signs in configs:
-        j = int(lab.max()) + 1
-        b = np.zeros((n, j))
-        b[np.arange(n), lab] = signs
-        b /= np.linalg.norm(b, axis=0, keepdims=True)
-        bts.append(b.T)
-    cap = max(1, _STACK_FLOATS // (_TRIAL_CHUNK * k * m))
+    rows = max(bt.shape[0] for bt in bts)
+    cap = max(1, _STACK_FLOATS // (_TRIAL_CHUNK * rows * width))
     chunks = []
     c, step = 0, min(8, cap)
     while c < len(bts):
         part = bts[c : c + step]
         c, step = c + step, min(2 * step, cap)
-        js = np.array([bt.shape[0] for bt in part])
+        rs = np.array([bt.shape[0] for bt in part])
         groups = []
-        for j in np.unique(js):
-            pos = np.flatnonzero(js == j)
+        for r in np.unique(rs):
+            pos = np.flatnonzero(rs == r)
             groups.append((pos, np.stack([part[i] for i in pos])))
         chunks.append(groups)
     return chunks
 
 
-def _distinct_top_sq(f: np.ndarray, chunks, thresh: float) -> np.ndarray:
+def _family_top_sq(f: np.ndarray, chunks, thresh: float) -> np.ndarray:
     """Per trial, the running maximum of the top singular value squared of
-    b^T f[t] over the configurations in order, stopped at the first one that
-    reaches ``thresh``; trials that stopped skip the later chunks."""
+    b^T f[t] over the family's members in order, stopped at the first one
+    that reaches ``thresh``; trials that stopped skip the later chunks.
+
+    Every comparison with ``thresh`` is the one the SVD alone would make
+    (see ``_top_sq``), so ``top >= thresh`` says whether some member reaches
+    it.  A support family is one-hot: its b^T f[t] is the gather of f[t]'s
+    rows on the support, bit for bit.
+    """
     top = np.zeros(f.shape[0])
     live = np.arange(f.shape[0])
     for groups in chunks:
@@ -610,9 +570,10 @@ def _distinct_top_sq(f: np.ndarray, chunks, thresh: float) -> np.ndarray:
             s2[:, pos] = _top_sq(bt[None] @ fl, thresh)
         cross = s2 >= thresh
         stopped = cross.any(axis=1)
-        last = np.where(stopped, cross.argmax(axis=1), width - 1)
-        s2[np.arange(width) > last[:, None]] = 0.0
         top[live] = np.maximum(top[live], s2.max(axis=1))
+        # every member before a trial's first crossing lies below thresh, so
+        # the running maximum of a stopped trial is its first crossing
+        top[live[stopped]] = s2[stopped, cross[stopped].argmax(axis=1)]
         live = live[~stopped]
     return top
 
@@ -641,14 +602,16 @@ def small_support_incidence(
     an undercount, which only ever weakens the measured side of the check).
 
     Trial t draws its subspace from its own stream
-    ``seed.derive("incidence", t)``; trials are evaluated in stacks (one
-    batched QR, then chunks of configurations), which gives the same hit
-    count as a trial-by-trial loop.  Each block's top singular value squared
-    is decided in closed form when the block has at most two rows or
+    ``seed.derive("incidence", t)``.  Both modes express the structured
+    subspaces as one family of matrices b^T (one-hot rows for a support,
+    normalised signed block indicators for a configuration) and go through
+    the family kernel ``_family_top_sq``: trials are evaluated in stacks
+    (one batched QR, then chunks of the family), and a trial stops at the
+    first member that catches it, which gives the same hit count as a
+    trial-by-trial loop.  Each member's top singular value squared is
+    decided in closed form when the product has at most two rows or
     columns, falling back to the SVD within a rounding margin of the
-    threshold and for larger blocks (see ``_top_sq``).  In distinct mode a
-    trial stops at the first configuration that catches it, and stopped
-    trials skip the later chunks.
+    threshold and for larger products (see ``_top_sq``).
     """
     if trials < 1000:
         raise ValueError("need at least 1000 trials")
@@ -666,25 +629,28 @@ def small_support_incidence(
             )
             blocks = blocks[idx]
             exhaustive = False
+        family = np.eye(n)[blocks]
         log_b = n * math.log(288.0) + (n - m - r) * math.log(gamma)
     else:
         k = size_param
         configs, exhaustive = _distinct_value_configs(n, k, budget, seed)
+        family = []  # row l of b^T: the signed indicator of block l, unit length
+        for lab, signs in configs:
+            b = np.zeros((n, int(lab.max()) + 1))
+            b[np.arange(n), lab] = signs
+            family.append((b / np.linalg.norm(b, axis=0)).T)
         log_b = (
             k * math.log(3.0 / gamma)
             + n * math.log(48.0 * k)
             + (n - m) * math.log(gamma)
         )
-        chunks = _config_chunks(n, m, k, configs)
     bound = min(1.0, math.exp(min(log_b, 50.0)))
 
+    chunks = _family_chunks(family, m)
     g2 = gamma * gamma
     hits = 0
     for f in _trial_frames(n, m, trials, seed, "incidence"):
-        if mode == "support":
-            top = _support_top_sq(f, blocks, 1.0 - g2)
-        else:
-            top = _distinct_top_sq(f, chunks, 1.0 - g2)
+        top = _family_top_sq(f, chunks, 1.0 - g2)
         hits += int(np.count_nonzero(1.0 - top <= g2))
     freq = hits / trials
     se = math.sqrt(max(freq * (1 - freq), 1.0 / trials) / trials)
@@ -726,30 +692,24 @@ def verify_range_support_gap(
     trivially fails the test and the report is marked not applicable.
 
     Trial t draws its projection from its own stream
-    ``seed.derive("range-gap", t)``; trials are evaluated in stacks, and the
-    top singular value squared of every (trial, half, support) block is
-    decided against the threshold in closed form when the support has at
-    most two coordinates, falling back to the SVD within a rounding margin of
-    the threshold and for larger supports (see ``_top_sq``).
+    ``seed.derive("range-gap", t)``.  The supports form a one-hot family
+    that the family kernel ``_family_top_sq`` checks, as in
+    :func:`small_support_incidence`, once per half of the frame; the second
+    half only sees the trials the first half missed.
     """
     r = n // 4
     if r < 1:
         raise ValueError("need n >= 4 so the support budget is nonempty")
     if trials < 1000:
         raise ValueError("need at least 1000 trials")
-    blocks = _support_blocks(n, r)
     k = n // 2
+    chunks = _family_chunks(np.eye(n)[_support_blocks(n, r)], n - k)
     two_gamma = 2 * gamma
     thresh = 1.0 - two_gamma * two_gamma  # hit iff smax^2 >= thresh
-    step = max(1, _STACK_FLOATS // (_TRIAL_CHUNK * r * n))
     hits = 0
     for full in _trial_frames(n, n, trials, seed, "range-gap"):
-        hit = np.zeros(full.shape[0], dtype=bool)
-        for half in (full[..., :k], full[..., k:]):
-            for c in range(0, blocks.shape[0], step):
-                live = np.flatnonzero(~hit)
-                sub = half[live[:, None, None], blocks[c : c + step]]  # (live, c, r, k)
-                hit[live[(_top_sq(sub, thresh) >= thresh).any(axis=1)]] = True
+        hit = _family_top_sq(full[..., :k], chunks, thresh) >= thresh
+        hit[~hit] = _family_top_sq(full[~hit, :, k:], chunks, thresh) >= thresh
         hits += int(np.count_nonzero(hit))
     freq = hits / trials
     bound = (2.0 / 3.0) ** n
@@ -762,17 +722,16 @@ def verify_range_support_gap(
         "support_budget": r,
         "hits": hits,
     }
-    applicable = two_gamma < 1
     return _report(
         "range_support_gap",
         f"n={n},gamma={gamma}",
         bound,
         freq,
-        margin if applicable else -math.inf,
+        margin,
         trials,
         seed,
         tol,
-        applicable=applicable,
+        applicable=two_gamma < 1,
         details=details,
     )
 
@@ -987,6 +946,8 @@ def verify_frame_escape(
     """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
+    if trials < 1:
+        raise ValueError("need at least one trial")
     worst = math.inf
     chunk = 4096
     for lo in range(0, trials, chunk):
@@ -1021,12 +982,10 @@ def verify_frame_escape(
 # spread of the separated sign set against low-dimensional subspaces
 # ---------------------------------------------------------------------------
 
-def _ordered_difference_family(analysis: SignSetAnalysis) -> np.ndarray | None:
+def _ordered_difference_family(analysis: SignSetAnalysis) -> np.ndarray:
     """Five pair representatives folded to [0, pi) and sorted, returned as
     the difference family (consecutive differences plus first + last) the
-    spread bound rests on; None when fewer than five pairs exist."""
-    if analysis.k < 5:
-        return None
+    spread bound rests on; needs at least five pairs."""
     v = analysis.representatives.copy()
     th = analysis.v_thetas[: analysis.k].copy()
     flip = th >= np.pi
@@ -1061,37 +1020,29 @@ def verify_sigma_spread(
     details: dict = {"k": analysis.k, "beta": beta}
     if analysis.k < 5:
         details["reason"] = "fewer than five separated pairs"
-        return _report(
-            "sign_set_spread", f"k={analysis.k}", 0.0, 0.0, -math.inf,
-            analysis.sigma_samples.shape[0], None, tol,
-            applicable=False, details=details,
-        )
-    reps = analysis.representatives
-    seps = [
-        min(
-            float(np.linalg.norm(reps[i] - reps[j])),
-            float(np.linalg.norm(reps[i] + reps[j])),
-        )
-        for i in range(analysis.k)
-        for j in range(i + 1, analysis.k)
-    ]
-    consistent = min(seps) >= beta - 1e-12
-    details["min_pair_separation"] = min(seps)
-    if consistent and not cyclic_interval_signs(analysis, sub):
-        consistent = False
-        details["reason"] = "sign patterns lack the contiguous-block structure"
-    fam = _ordered_difference_family(analysis)
-    if consistent and fam is not None:
+    else:
+        reps = analysis.representatives
+        seps = [
+            min(
+                float(np.linalg.norm(reps[i] - reps[j])),
+                float(np.linalg.norm(reps[i] + reps[j])),
+            )
+            for i in range(analysis.k)
+            for j in range(i + 1, analysis.k)
+        ]
+        details["min_pair_separation"] = min(seps)
+        fam = _ordered_difference_family(analysis)
         gram = fam @ fam.T
         off = gram - np.diag(np.diag(gram))
-        if np.max(np.abs(off)) > 1e-10:
-            consistent = False
+        if not min(seps) >= beta - 1e-12:
+            details["reason"] = "separation below beta"
+        elif not cyclic_interval_signs(analysis, sub):
+            details["reason"] = "sign patterns lack the contiguous-block structure"
+        elif np.max(np.abs(off)) > 1e-10:
             details["reason"] = "difference family is not orthogonal"
         elif np.min(np.diag(gram)) < (beta - 1e-9) ** 2:
-            consistent = False
             details["reason"] = "difference family member shorter than beta"
-    if not consistent:
-        details.setdefault("reason", "separation below beta")
+    if "reason" in details:
         return _report(
             "sign_set_spread", f"k={analysis.k}", 0.0, 0.0, -math.inf,
             analysis.sigma_samples.shape[0], None, tol,

@@ -13,6 +13,7 @@ from normlab import (
     run_parameter_chain,
     sample_frame,
     sample_two_d_subspace,
+    sample_unit_sphere,
     sigma_set,
     small_support_incidence,
     support_bracket,
@@ -40,6 +41,34 @@ SQRT2 = math.sqrt(2.0)
 def check_report_flags(rep):
     """passed must mean: applicable and margin within tolerance."""
     assert rep.passed == (rep.applicable and rep.margin >= -rep.tolerance)
+
+
+def _assert_close(got, want):
+    if isinstance(want, float):
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+    else:
+        assert got == want
+
+
+def assert_same_report(rep, expected):
+    """Field by field and detail by detail: floats to 1e-12 relative (another
+    BLAS may round the last bits differently), everything else exactly, so
+    a margin of -inf must stay -inf."""
+    for name in LemmaReport.__dataclass_fields__:
+        if name != "details":
+            _assert_close(getattr(rep, name), getattr(expected, name))
+    assert rep.details.keys() == expected.details.keys()
+    for key, want in expected.details.items():
+        _assert_close(rep.details[key], want)
+
+
+def not_applicable_report(lemma_id, instance, bound, measured, trials, seed,
+                          tol, details):
+    return LemmaReport(
+        lemma_id=lemma_id, instance=instance, bound_value=bound,
+        measured_value=measured, margin=-math.inf, trials=trials, seed=seed,
+        passed=False, applicable=False, tolerance=tol, details=details,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -76,6 +105,12 @@ def test_goodness_equivalence_not_applicable_for_distorted_subspace():
     rep = verify_goodness_equivalence(spec, sub, epsilon=0.05, seed=Seed(105))
     assert not rep.applicable and not rep.passed
     check_report_flags(rep)
+    worst = 0.06066017177982119  # 3 / (2 sqrt 2) - 1
+    assert_same_report(rep, not_applicable_report(
+        "goodness_equivalence", "epsilon=0.05", 0.0, worst, 64, (105, 0), 1e-6,
+        {"euclidean_ratio": 1.4142135623730951, "projection_norm": 1.0,
+         "worst_deficiency": worst, "directions": []},
+    ))
 
 
 def test_goodness_equivalence_deterministic():
@@ -133,6 +168,25 @@ def test_support_characterization_records_delta_star():
     check_report_flags(rep)
 
 
+def test_support_characterization_not_applicable():
+    # the canonical pair sits at 0.34 <= delta, but C delta = 1.66 >= 1 rules
+    # out the bracket, and the deficiency 0.051 exceeds the forward threshold
+    # delta^2 / (8 C^2) = 0.045: neither direction promises anything
+    spec = make_norm_spec(16, 0.25, Seed(5))
+    x = sample_unit_sphere(16, Seed(6).derive(0))
+    rep = verify_support_characterization(spec, x, delta=1.0)
+    check_report_flags(rep)
+    assert_same_report(rep, not_applicable_report(
+        "support_characterization", "delta=1.0", 0.0, 0.05105546723748078, 1,
+        (0, 0), 1e-6,
+        {"canonical_gap": 0.3412424358812012,
+         "deficiency": 0.05105546723748078, "C": 1.6642135623730951,
+         "forward_threshold": 0.04513276066808582,
+         "delta_star": 1.0635922838290033, "descent_norm": 1.2332744962326965,
+         "descent_target": 1.229412605635075, "descent_achieved": False},
+    ))
+
+
 # ----------------------------------------------------------------------
 # approximate eigenvectors
 # ----------------------------------------------------------------------
@@ -178,8 +232,14 @@ def test_approx_eigenvector_split_identity():
 def test_approx_eigenvector_out_of_regime():
     spec = diag_spec([1, 0], eta=0.0)
     y = np.array([1.0, 1.0]) / SQRT2
-    rep = verify_approx_eigenvector(spec.basis, y, nu=0.0)  # tau = 2.25
+    rep = verify_approx_eigenvector(spec.basis, y, nu=0.0)  # tau = 2.5
     assert not rep.applicable and not rep.passed
+    assert_same_report(rep, not_applicable_report(
+        "approx_eigenvector", "nu=0.0", 4.999999999999999, 0.4999999999999999,
+        1, None, 1e-12,
+        {"tau": 2.4999999999999996, "py_sq": 0.4999999999999999,
+         "qy_sq": 0.4999999999999999, "split_identity_gap": 0.0},
+    ))
     with pytest.raises(ValueError):
         verify_approx_eigenvector(spec.basis, 2 * y, nu=1.5)
 
@@ -254,6 +314,12 @@ def test_range_support_gap():
     assert rep.measured_value == 0.0
     rep_na = verify_range_support_gap(8, 1000, Seed(305), gamma=0.6)
     assert not rep_na.applicable
+    assert_same_report(rep_na, not_applicable_report(
+        "range_support_gap", "n=8,gamma=0.6", 0.03901844231062336, 1.0, 1000,
+        (305, 0), 0.0,
+        {"frequency": 1.0, "standard_error": 0.001, "gamma": 0.6,
+         "support_budget": 2, "hits": 1000},
+    ))
     with pytest.raises(ValueError):
         verify_range_support_gap(2, 1000, Seed(306))
 
@@ -375,6 +441,23 @@ def test_range_support_gap_odd_and_wide_match_per_trial_loop(n):
     seed = Seed(2720)
     rep = verify_range_support_gap(n, 1001, seed, gamma=0.05)
     assert rep == reference_range_support_gap(n, 1001, seed, 0.05)
+
+
+@pytest.mark.parametrize("n", [6, 8, 9, 12])
+def test_one_hot_family_product_is_the_gather(n):
+    # the kernel multiplies a support family's one-hot rows into the frames;
+    # the product must be the gather f[:, blocks] bit for bit, on both halves
+    # of stacked Haar frames (4 and 5 columns at n = 9)
+    full = next(lemmas._trial_frames(n, n, 64, Seed(2721), "one-hot"))
+    k = n // 2
+    for r in (1, 2, 3):
+        blocks = _support_blocks(n, r)
+        for half in (full[..., :k], full[..., k:]):
+            prod = np.eye(n)[blocks][None] @ half[:, None]
+            gather = half[:, blocks]
+            shape = (64, blocks.shape[0], r, half.shape[2])
+            assert prod.shape == gather.shape == shape
+            assert prod.tobytes() == gather.tobytes()
 
 
 @pytest.mark.parametrize("rows", [1, 2])
@@ -587,6 +670,8 @@ def test_frame_escape():
         verify_frame_escape(5, 4, 1000, Seed(314))
     with pytest.raises(ValueError):
         verify_frame_escape(0, 4, 1000, Seed(314))
+    with pytest.raises(ValueError):
+        verify_frame_escape(4, 8, 0, Seed(1))
 
 
 # ----------------------------------------------------------------------
@@ -618,6 +703,10 @@ def test_sigma_spread_too_few_pairs():
     rep = verify_sigma_spread(ana, sub, w)
     assert not rep.applicable
     assert rep.details["reason"] == "fewer than five separated pairs"
+    assert_same_report(rep, not_applicable_report(
+        "sign_set_spread", "k=1", 0.0, 0.0, 910, None, 1e-9,
+        {"k": 1, "beta": 0.5, "reason": "fewer than five separated pairs"},
+    ))
     with pytest.raises(ValueError):
         verify_sigma_spread(ana, sub, sample_frame(n, 3, Seed(43)))
 
