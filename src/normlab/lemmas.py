@@ -24,6 +24,7 @@ from .exactparams import ChainResult, ParameterSet, check_parameter_chain
 from .linalg import (
     Frame,
     Seed,
+    _derived_streams,
     _haar_frames,
     _stream_normals,
     sample_unit_sphere,
@@ -310,7 +311,7 @@ def verify_approx_eigenvector(
     tau = (2 - nu)^2 |Py|^2 + (1 - nu)^2 |Qy|^2 is recorded alongside.
     """
     y = np.asarray(y, dtype=float)
-    if abs(np.linalg.norm(y) - 1.0) > 1e-10:
+    if not abs(np.linalg.norm(y) - 1.0) <= 1e-10:  # NaN fails too
         raise ValueError("y must be a unit vector")
     u = basis.columns
     py = u @ (u.T @ y)
@@ -479,12 +480,14 @@ def _trial_frames(n: int, k: int, trials: int, seed: Seed, tag: str):
     """Yield the per-trial Haar frames, in stacks of at most _TRIAL_CHUNK.
 
     Trial t always draws from ``seed.derive(tag, t)``, so the stacks hold the
-    same bits as a per-trial loop, whatever the chunking.
+    same bits as a per-trial loop, whatever the chunking.  The stream ids
+    come from ``_derived_streams``, which hashes the shared (master, stream,
+    tag) prefix once per stack instead of deriving a ``Seed`` per trial.
     """
     step = max(1, min(_TRIAL_CHUNK, _STACK_FLOATS // (n * k)))
     for lo in range(0, trials, step):
         hi = min(trials, lo + step)
-        streams = [seed.derive(tag, t).stream for t in range(lo, hi)]
+        streams = _derived_streams(seed, tag, lo, hi)
         yield _haar_frames(_stream_normals(seed.master, streams, (n, k)))
 
 
@@ -555,8 +558,12 @@ def _family_top_sq(f: np.ndarray, chunks, thresh: float) -> np.ndarray:
 
     Every comparison with ``thresh`` is the one the SVD alone would make
     (see ``_top_sq``), so ``top >= thresh`` says whether some member reaches
-    it.  A support family is one-hot: its b^T f[t] is the gather of f[t]'s
-    rows on the support, bit for bit.
+    it.  Each group of c members with r rows is one flat product
+    ``(c r, n) @ f[t]`` per trial, not one small product per (trial, member)
+    pair.  A support family is one-hot: its b^T f[t] is the gather of f[t]'s
+    rows on the support, bit for bit; in distinct mode sigma^2 may differ
+    from per-member products in the last bits, which ``_top_sq``'s margin
+    keeps out of every decision.
     """
     top = np.zeros(f.shape[0])
     live = np.arange(f.shape[0])
@@ -565,9 +572,11 @@ def _family_top_sq(f: np.ndarray, chunks, thresh: float) -> np.ndarray:
             break
         width = sum(pos.size for pos, _ in groups)
         s2 = np.empty((live.size, width))
-        fl = f[live][:, None]
+        fl = f[live]
         for pos, bt in groups:
-            s2[:, pos] = _top_sq(bt[None] @ fl, thresh)
+            c, r, n = bt.shape
+            prod = (bt.reshape(c * r, n) @ fl).reshape(live.size, c, r, -1)
+            s2[:, pos] = _top_sq(prod, thresh)
         cross = s2 >= thresh
         stopped = cross.any(axis=1)
         top[live] = np.maximum(top[live], s2.max(axis=1))

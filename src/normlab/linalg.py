@@ -15,7 +15,6 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
 
 # Tolerances used by constructor validation.  These mirror the contracts the
 # test suite enforces; they are deliberately loose multiples of float epsilon.
@@ -88,6 +87,23 @@ class Frame:
     @property
     def dim(self) -> int:
         return self.columns.shape[1]
+
+
+def _derived_streams(seed: Seed, tag: object, lo: int, hi: int) -> list[int]:
+    """``[seed.derive(tag, t).stream for t in range(lo, hi)]``, bit for bit.
+
+    The hashed text ``repr((master, stream, tag, t))`` shares everything up
+    to t, so that prefix is hashed once and each t only copies the hash and
+    appends ``"t)"``; no per-t repr or ``Seed`` is built.
+    """
+    head = repr((seed.master, seed.stream, tag))[:-1] + ", "
+    prefix = hashlib.sha256(head.encode())
+    out = []
+    for t in range(lo, hi):
+        h = prefix.copy()
+        h.update(b"%d)" % t)
+        out.append(int.from_bytes(h.digest()[:8], "big"))
+    return out
 
 
 def _hashmix(value, hc: int, mult: int):
@@ -218,4 +234,6 @@ def subspace_incidence_probability(n: int, m: int, gamma: float) -> float:
         raise ValueError("need 1 <= m < n")
     if not 0 <= gamma <= 1:
         raise ValueError("gamma must lie in [0, 1]")
+    from scipy.special import betainc  # deferred: scipy.special is most of import time
+
     return float(betainc((n - m) / 2.0, m / 2.0, gamma * gamma))

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +42,32 @@ def test_run_is_deterministic_modulo_timing(tmp_path):
     assert rep1["summary"]["ok"] is True
     assert rep1["sandwich"]["lower_slack"] >= -1e-9
     assert rep1["sandwich"]["upper_slack"] >= -1e-9
+
+
+IMPORT_CONTRACT = """
+import sys
+import normlab
+from normlab import cli
+out = sys.argv[1]
+assert cli.main(["check-params", "--out", out + "/chain.json"]) == 0
+assert cli.main(["probe-subspaces", "--subspaces", "1",
+                 "--out", out + "/probe.json"]) == 0
+print("scipy.special" in sys.modules)
+"""
+
+
+def test_probe_path_does_not_import_scipy(tmp_path):
+    # scipy.special serves only the Monte Carlo volume oracle; a fresh
+    # interpreter is needed because this pytest process has imported it already
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_CONTRACT, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "False"
 
 
 def test_csv_output_round_trips(tmp_path):

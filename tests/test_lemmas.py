@@ -242,6 +242,8 @@ def test_approx_eigenvector_out_of_regime():
     ))
     with pytest.raises(ValueError):
         verify_approx_eigenvector(spec.basis, 2 * y, nu=1.5)
+    with pytest.raises(ValueError):
+        verify_approx_eigenvector(spec.basis, np.full(2, np.nan), nu=1.5)
 
 
 # ----------------------------------------------------------------------
@@ -445,15 +447,17 @@ def test_range_support_gap_odd_and_wide_match_per_trial_loop(n):
 
 @pytest.mark.parametrize("n", [6, 8, 9, 12])
 def test_one_hot_family_product_is_the_gather(n):
-    # the kernel multiplies a support family's one-hot rows into the frames;
-    # the product must be the gather f[:, blocks] bit for bit, on both halves
-    # of stacked Haar frames (4 and 5 columns at n = 9)
+    # the kernel multiplies a support family's one-hot rows into the frames
+    # as one flat (c r, n) @ f[t] product per trial; the product must be the
+    # gather f[:, blocks] bit for bit, on both halves of stacked Haar frames
+    # (4 and 5 columns at n = 9)
     full = next(lemmas._trial_frames(n, n, 64, Seed(2721), "one-hot"))
     k = n // 2
     for r in (1, 2, 3):
         blocks = _support_blocks(n, r)
+        flat = np.eye(n)[blocks].reshape(-1, n)
         for half in (full[..., :k], full[..., k:]):
-            prod = np.eye(n)[blocks][None] @ half[:, None]
+            prod = (flat @ half).reshape(64, blocks.shape[0], r, -1)
             gather = half[:, blocks]
             shape = (64, blocks.shape[0], r, half.shape[2])
             assert prod.shape == gather.shape == shape

@@ -11,7 +11,12 @@ from normlab import (
     sample_unit_sphere,
     subspace_incidence_probability,
 )
-from normlab.linalg import _haar_frame, _haar_frames, _stream_normals
+from normlab.linalg import (
+    _derived_streams,
+    _haar_frame,
+    _haar_frames,
+    _stream_normals,
+)
 
 
 def projection_of(spec):
@@ -117,6 +122,19 @@ def test_stream_normals_match_per_seed_generators(shape):
                         for s in streams])
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
     assert _stream_normals(3, [], shape).shape == (0, *shape)
+
+
+def test_derived_streams_match_seed_derive():
+    # the shared-prefix hash gives Seed.derive's stream ids bit for bit, on
+    # edge masters and parent streams, for both tags the lemmas use, from
+    # trial 0 and from a later stack start, and nothing for an empty range
+    for master in EDGE_WORDS:
+        for stream in (0, 5, 2**64 - 1):
+            seed = Seed(master, stream)
+            for tag in ("incidence", "range-gap"):
+                for lo, hi in ((0, 12), (997, 1003), (4, 4)):
+                    ref = [seed.derive(tag, t).stream for t in range(lo, hi)]
+                    assert _derived_streams(seed, tag, lo, hi) == ref
 
 
 def test_make_norm_spec_rank_domain():
