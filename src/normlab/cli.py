@@ -104,8 +104,12 @@ def _merge_options(args: argparse.Namespace) -> dict:
         raise ValueError("format must be 'json' or 'csv'")
     if int(opts["n"]) < 2:
         raise ValueError("n must be at least 2")
-    if float(opts["eta"]) < 0:
-        raise ValueError("eta must be nonnegative")
+    if not 0 <= float(opts["eta"]) < math.inf:
+        raise ValueError("eta must be finite and nonnegative")
+    if not 0 <= float(opts["tol"]) < math.inf:
+        raise ValueError("tol must be finite and nonnegative")
+    if int(opts["subspaces"]) < 0:
+        raise ValueError("subspaces must be nonnegative")
     return opts
 
 

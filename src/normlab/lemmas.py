@@ -42,11 +42,14 @@ from .norms import (
 from .subspaces import (
     SignSetAnalysis,
     TwoDSubspace,
+    _pair_min_dist,
+    _typicality,
     cyclic_interval_signs,
+    e_set,
     euclidean_constant,
+    probe_subspace,
     projection_op_norm,
     sample_two_d_subspace,
-    worst_goodness,
 )
 
 MC_SIGMAS = 4.0  # Monte Carlo acceptance band, in standard errors
@@ -794,8 +797,6 @@ def verify_typicality_probability(
     of x(theta) fall below xi / sqrt(n) at a uniform random theta; the
     bound is xi / (alpha c), vacuous when that exceeds one (still recorded).
     """
-    from .subspaces import e_set
-
     seed = seed or Seed(0)
     e = e_set(sub, alpha)
     if e.size == 0:
@@ -813,10 +814,8 @@ def verify_typicality_probability(
         )
     rng = seed.derive("typicality").generator()
     thetas = rng.uniform(0.0, 2 * np.pi, size=theta_trials)
-    x = sub.point(thetas)
-    tiny = np.abs(x[:, e]) < xi / math.sqrt(sub.n)
-    bad = np.sum(tiny.sum(axis=1) >= c * e.size)
-    freq = float(bad) / theta_trials
+    crowded = _typicality(sub, thetas, e, xi, c)[1]
+    freq = float(np.count_nonzero(crowded)) / theta_trials
     bound = xi / (alpha * c)
     se = math.sqrt(max(freq * (1 - freq), 1.0 / theta_trials) / theta_trials)
     margin = bound + MC_SIGMAS * se - freq
@@ -1031,14 +1030,7 @@ def verify_sigma_spread(
         details["reason"] = "fewer than five separated pairs"
     else:
         reps = analysis.representatives
-        seps = [
-            min(
-                float(np.linalg.norm(reps[i] - reps[j])),
-                float(np.linalg.norm(reps[i] + reps[j])),
-            )
-            for i in range(analysis.k)
-            for j in range(i + 1, analysis.k)
-        ]
+        seps = [_pair_min_dist(a, b) for a, b in combinations(reps, 2)]
         details["min_pair_separation"] = min(seps)
         fam = _ordered_difference_family(analysis)
         gram = fam @ fam.T
@@ -1130,31 +1122,29 @@ def verify_goodness_floor(
     """Sweep random 2-D subspaces for the smallest worst-case deficiency.
 
     Builds one norm from the seed, probes ``subspace_trials`` independent
-    random subspaces with :func:`worst_goodness`, and reports the floor
+    random subspaces with :func:`probe_subspace`, and reports the floor
     (the minimum over subspaces of the per-subspace maximum deficiency).
     The report passes when the floor is strictly positive and, crucially,
     larger than the grid enclosure width, so the positivity is resolved by
     the grid rather than being noise.  No external bound is asserted.
     """
     spec = make_norm_spec(n, eta, seed.derive("floor-spec"))
-    floor = math.inf
-    floor_index = -1
-    worst_thetas = []
-    for t in range(subspace_trials):
-        sub = sample_two_d_subspace(n, seed.derive("floor-sub", t))
-        wg = worst_goodness(spec, sub, grid_size=grid_size, tol=tol)
-        worst_thetas.append(wg.deficiency)
-        if wg.deficiency < floor:
-            floor = wg.deficiency
-            floor_index = t
+    worst = np.array([
+        probe_subspace(
+            spec, sample_two_d_subspace(n, seed.derive("floor-sub", t)),
+            grid_size=grid_size, tol=tol,
+        ).worst_deficiency
+        for t in range(subspace_trials)
+    ])
+    floor_index = int(np.argmin(worst))
+    floor = float(worst[floor_index])
     width = spec.C * (math.pi / grid_size)
-    arr = np.asarray(worst_thetas)
     details = {
         "floor": floor,
         "floor_subspace": floor_index,
         "enclosure_width": width,
-        "max_over_subspaces": float(arr.max()),
-        "mean_over_subspaces": float(arr.mean()),
+        "max_over_subspaces": float(worst.max()),
+        "mean_over_subspaces": float(worst.mean()),
         "n": n,
         "eta": eta,
         "grid_size": grid_size,

@@ -75,8 +75,8 @@ class NormSpec:
     C: float
 
     def __post_init__(self):
-        if self.eta < 0:
-            raise ValueError("eta must be nonnegative")
+        if not 0 <= self.eta < np.inf:
+            raise ValueError("eta must be finite and nonnegative")
         if self.basis.n != self.n:
             raise ValueError("basis dimension does not match n")
 

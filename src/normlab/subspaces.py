@@ -23,7 +23,6 @@ import numpy as np
 
 from .linalg import Frame, Seed
 from .norms import (
-    CircleSweep,
     GoodnessCertificate,
     NormSpec,
     circle_sweep,
@@ -159,60 +158,6 @@ def projection_op_norm(spec: NormSpec, sub: TwoDSubspace, grid_size: int = 512) 
     return projection_ratio_norm(spec, sub.frame().columns, grid_size=grid_size)
 
 
-@dataclass(frozen=True)
-class WorstGoodness:
-    """Grid maximum of the goodness deficiency along the subspace circle.
-
-    ``failures`` stays empty: a grid point whose dual norm cannot be
-    certified raises :class:`DualNormError` instead of being skipped.
-    """
-
-    theta: float
-    deficiency: float
-    width: float          # Lipschitz enclosure: true max <= deficiency + width
-    grid_size: int
-    certificate: GoodnessCertificate
-    failures: tuple = ()
-
-
-def _sweep(spec: NormSpec, sub: TwoDSubspace, grid_size: int) -> CircleSweep:
-    if grid_size < 64:
-        raise ValueError("grid_size below 64 gives useless enclosures")
-    return circle_sweep(spec, sub.frame().columns, grid_size)
-
-
-def _worst(spec: NormSpec, sweep: CircleSweep, tol: float) -> WorstGoodness:
-    j = int(np.argmax(sweep.raw))
-    cert = GoodnessCertificate.from_raw(
-        sweep.points[j], sweep.raw[j], sweep.dual.witness[j], tol
-    )
-    grid_size = sweep.thetas.size
-    return WorstGoodness(
-        theta=float(sweep.thetas[j]),
-        deficiency=cert.deficiency,
-        width=float(spec.C * (np.pi / grid_size)),
-        grid_size=grid_size,
-        certificate=cert,
-    )
-
-
-def worst_goodness(
-    spec: NormSpec,
-    sub: TwoDSubspace,
-    grid_size: int = 512,
-    tol: float = 1e-7,
-) -> WorstGoodness:
-    """Largest goodness deficiency over a theta grid on [0, pi).
-
-    One certified dual solve over the whole grid (:func:`circle_sweep`);
-    the largest grid value is reported, clamped to zero below ``tol``.  The
-    deficiency is 2C-Lipschitz along the circle, so the true supremum exceeds
-    the report by at most ``width`` = C * h.  Raises :class:`DualNormError`
-    if any grid point cannot be certified.
-    """
-    return _worst(spec, _sweep(spec, sub, grid_size), tol)
-
-
 def e_set(sub: TwoDSubspace, alpha: float) -> np.ndarray:
     """Indices of large-amplitude coordinates: r_i >= alpha / sqrt(n).
 
@@ -223,6 +168,21 @@ def e_set(sub: TwoDSubspace, alpha: float) -> np.ndarray:
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     return np.flatnonzero(sub.r >= alpha / math.sqrt(sub.n))
+
+
+def _typicality(
+    sub: TwoDSubspace, thetas: np.ndarray, e: np.ndarray, xi: float, c: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x(theta) on E for every angle, as (G, |E|), with two masks.
+
+    ``crowded``: at least c |E| of those coordinates are tiny.  ``typical``:
+    not crowded and no exact sign change (the rule of :func:`typical_check`).
+    """
+    xe = sub.point(thetas)[:, e]
+    tiny = np.abs(xe) < xi / math.sqrt(sub.n)
+    crowded = np.count_nonzero(tiny, axis=1) >= c * e.size
+    at_sign_change = np.any(np.fmod(thetas[:, None] + sub.phi[e], np.pi) == 0, axis=1)
+    return xe, crowded, ~(crowded | at_sign_change)
 
 
 def typical_check(
@@ -236,17 +196,8 @@ def typical_check(
     exact floating comparison of the phase theta + phi_i against multiples
     of pi, not by a tolerance band.
     """
-    e = e_set(sub, alpha)
-    if e.size == 0:
-        return False
-    x = sub.point(theta)
-    tiny = np.abs(x[e]) < xi / math.sqrt(sub.n)
-    if int(tiny.sum()) >= c * e.size:
-        return False
-    for i in e:
-        if math.fmod(theta + float(sub.phi[i]), math.pi) == 0.0:
-            return False
-    return True
+    thetas = np.array([theta], dtype=float)
+    return bool(_typicality(sub, thetas, e_set(sub, alpha), xi, c)[2][0])
 
 
 @dataclass(frozen=True)
@@ -297,58 +248,46 @@ def sigma_set(
 ) -> SignSetAnalysis:
     """Collect sign patterns over typical angles and separate them.
 
-    Sweeps theta over [0, 2 pi) so the antipodal pairs appear explicitly;
-    the greedy pass keeps a pattern when it is at least beta away from every
-    kept pattern and every kept antipode.  An empty typical set is reported,
-    not raised: it flags that the tiny-coordinate budget failed everywhere.
+    Sweeps theta over [0, 2 pi) so the antipodal pairs appear explicitly.
+    Each E coordinate changes sign twice per turn, so the typical angles
+    show at most 2 |E| distinct patterns.  The greedy pass and the covering
+    radius run over those distinct patterns in order of first appearance:
+    a pattern is kept when it is at least beta away from every kept pattern
+    and every kept antipode, and a repeat never is.  An empty typical set
+    is reported, not raised: it flags that the tiny-coordinate budget
+    failed everywhere.
     """
     if not 0 < beta <= 1:
         raise ValueError("beta must lie in (0, 1]")
     n = sub.n
     e = e_set(sub, alpha)
     thetas = np.arange(grid_size) * (2 * np.pi / grid_size)
-    samples, kept_thetas = [], []
-    for th in thetas:
-        if not typical_check(sub, float(th), xi, c, alpha):
-            continue
-        x = sub.point(float(th))
-        s = np.zeros(n)
-        s[e] = np.sign(x[e]) / math.sqrt(n)
-        samples.append(s)
-        kept_thetas.append(float(th))
-    if not samples:
-        return SignSetAnalysis(
-            sigma_samples=np.zeros((0, n)),
-            sample_thetas=np.zeros(0),
-            V=np.zeros((0, n)),
-            v_thetas=np.zeros(0),
-            k=0,
-            kappa=math.inf,
-            beta=beta,
-            e_indices=e,
-            empty=True,
-        )
-    sam = np.asarray(samples)
-    ths = np.asarray(kept_thetas)
+    xe, _, typical = _typicality(sub, thetas, e, xi, c)
+    ths = thetas[typical]
+    sam = np.zeros((ths.size, n))
+    sam[:, e] = np.sign(xe[typical]) / math.sqrt(n)
+    first = np.sort(np.unique(sam, axis=0, return_index=True)[1])
+    pats = sam[first]
 
     reps: list[int] = []
-    for j in range(sam.shape[0]):
-        if all(_pair_min_dist(sam[j], sam[i]) >= beta for i in reps):
+    for j in range(pats.shape[0]):
+        if all(_pair_min_dist(pats[j], pats[i]) >= beta for i in reps):
             reps.append(j)
     # antipodes after the representatives, their thetas shifted by pi
-    v = np.vstack([sam[reps], -sam[reps]])
-    vth = np.concatenate([ths[reps], np.mod(ths[reps] + np.pi, 2 * np.pi)])
-    d = np.linalg.norm(sam[:, None, :] - v[None, :, :], axis=2)
+    kept = first[reps]
+    v = np.vstack([sam[kept], -sam[kept]])
+    vth = np.concatenate([ths[kept], np.mod(ths[kept] + np.pi, 2 * np.pi)])
+    d = np.linalg.norm(pats[:, None, :] - v[None, :, :], axis=2)
     return SignSetAnalysis(
         sigma_samples=sam,
         sample_thetas=ths,
         V=v,
         v_thetas=vth,
         k=len(reps),
-        kappa=float(d.min(axis=1).max()),
+        kappa=float(d.min(axis=1).max()) if reps else math.inf,
         beta=beta,
         e_indices=e,
-        empty=False,
+        empty=not reps,
     )
 
 
@@ -404,13 +343,22 @@ def probe_subspace(
 ) -> SubspaceReport:
     """Run the full battery on one subspace and fold it into a report.
 
-    One certified dual solve along the circle gives both the worst goodness
-    deficiency and the projection norm.  ``seed`` is accepted and ignored:
-    every probe is deterministic.
+    One certified dual solve over a theta grid on [0, pi)
+    (:func:`circle_sweep`) gives both the worst goodness deficiency and the
+    projection norm.  The largest grid deficiency is reported, clamped to
+    zero below ``tol``; it is 2C-Lipschitz along the circle, so the true
+    supremum exceeds the report by at most ``deficiency_width`` = C * h.
+    Raises :class:`DualNormError` if any grid point cannot be certified.
+    ``seed`` is accepted and ignored: every probe is deterministic.
     """
+    if grid_size < 64:
+        raise ValueError("grid_size below 64 gives useless enclosures")
     ec = euclidean_constant(spec, sub, grid_size=max(grid_size, 256))
-    sweep = _sweep(spec, sub, grid_size)
-    wg = _worst(spec, sweep, tol)
+    sweep = circle_sweep(spec, sub.frame().columns, grid_size)
+    j = int(np.argmax(sweep.raw))
+    worst = GoodnessCertificate.from_raw(
+        sweep.points[j], sweep.raw[j], sweep.dual.witness[j], tol
+    )
     sig = sigma_set(sub, alpha, xi, c, beta, grid_size=max(grid_size, 256))
     return SubspaceReport(
         index=index,
@@ -418,10 +366,10 @@ def probe_subspace(
         ratio_upper=ec.ratio_upper,
         scale_t=ec.scale_t,
         proj_norm=float(sweep.proj_ratio.max()),
-        worst_theta=wg.theta,
-        worst_deficiency=wg.deficiency,
-        deficiency_width=wg.width,
-        e_set_size=int(e_set(sub, alpha).size),
+        worst_theta=float(sweep.thetas[j]),
+        worst_deficiency=worst.deficiency,
+        deficiency_width=float(spec.C * (np.pi / grid_size)),
+        e_set_size=int(sig.e_indices.size),
         k=sig.k,
         kappa=sig.kappa if math.isfinite(sig.kappa) else -1.0,
     )

@@ -108,6 +108,13 @@ def test_bad_inputs_exit_two(tmp_path):
     assert main(["sample-norm", str(tmp_path / "missing.cfg")]) == EXIT_BAD_INPUT
     assert main(["sample-norm", "--n", "1"]) == EXIT_BAD_INPUT
     assert main(["sample-norm", "--eta", "-0.5"]) == EXIT_BAD_INPUT
+    # non-finite or negative numbers are rejected before any work is done
+    assert main(["sample-norm", "--eta", "nan"]) == EXIT_BAD_INPUT
+    assert main(["sample-norm", "--eta", "inf"]) == EXIT_BAD_INPUT
+    assert main(["run", "--subspaces", "-2"]) == EXIT_BAD_INPUT
+    assert main(["probe-subspaces", "--tol", "nan"]) == EXIT_BAD_INPUT
+    assert main(["probe-subspaces", "--tol", "inf"]) == EXIT_BAD_INPUT
+    assert main(["probe-subspaces", "--tol=-1e-7"]) == EXIT_BAD_INPUT
     # an output path that cannot be written is bad input, not a failed check
     unwritable = tmp_path / "no-such-dir" / "x.json"
     assert main(["check-params", "--out", str(unwritable)]) == EXIT_BAD_INPUT

@@ -10,6 +10,7 @@ from normlab import (
     Seed,
     make_norm_spec,
     mc_subspace_volume,
+    probe_subspace,
     run_parameter_chain,
     sample_frame,
     sample_two_d_subspace,
@@ -748,3 +749,13 @@ def test_goodness_floor_smoke():
     again = verify_goodness_floor(12, 1 / 16, 6, Seed(306))
     assert again.details["floor"] == rep.details["floor"]
     check_report_flags(rep)
+    # the floor is the least worst deficiency that probe_subspace reports
+    spec = make_norm_spec(12, 1 / 16, Seed(306).derive("floor-spec"))
+    probes = [
+        probe_subspace(
+            spec, sample_two_d_subspace(12, Seed(306).derive("floor-sub", t)),
+            grid_size=256,
+        )
+        for t in range(6)
+    ]
+    assert rep.details["floor"] == min(p.worst_deficiency for p in probes)

@@ -182,6 +182,14 @@ def test_strongly_2_euclidean_flag():
         make_norm_spec(4, -0.1, Seed(1))
 
 
+def test_norm_spec_rejects_non_finite_eta():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            make_norm_spec(8, bad, Seed(1))
+        with pytest.raises(ValueError):
+            spec_from_basis(make_norm_spec(8, 0.0, Seed(1)).basis, bad)
+
+
 # ----------------------------------------------------------------------
 # dual norm
 # ----------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -20,9 +21,9 @@ from normlab import (
     span_two,
     two_d_subspace,
     typical_check,
-    worst_goodness,
 )
 from normlab.cli import EXIT_NO_CONVERGENCE, main
+from normlab.norms import circle_sweep
 from test_norms import diag_spec, euclidean_spec
 
 SQRT2 = math.sqrt(2.0)
@@ -161,41 +162,41 @@ def test_projection_op_norm_regression_point():
 def test_worst_goodness_flat_cases():
     spec = euclidean_spec(6)
     sub = sample_two_d_subspace(6, Seed(20))
-    wg = worst_goodness(spec, sub, grid_size=128)
-    assert wg.deficiency == 0.0
-    assert wg.failures == ()
+    assert probe_subspace(spec, sub, grid_size=128).worst_deficiency == 0.0
 
     spec_p = make_norm_spec(8, 0.0, Seed(21), rank=4)
     sub_p = sample_two_d_subspace(8, Seed(22), within=spec_p.basis)
-    assert worst_goodness(spec_p, sub_p, grid_size=128).deficiency == 0.0
+    assert probe_subspace(spec_p, sub_p, grid_size=128).worst_deficiency == 0.0
 
 
 def test_worst_goodness_mixed_frozen_value():
     spec, sub = mixed_pq_subspace()
-    wg = worst_goodness(spec, sub, grid_size=512)
-    assert wg.deficiency == pytest.approx(3 / (2 * SQRT2) - 1, abs=1e-9)
+    rep = probe_subspace(spec, sub, grid_size=512)
+    assert rep.worst_deficiency == pytest.approx(3 / (2 * SQRT2) - 1, abs=1e-9)
     # two symmetric maximizers on [0, pi)
-    assert min(abs(wg.theta - np.pi / 4), abs(wg.theta - 3 * np.pi / 4)) < 1e-9
-    assert wg.width == pytest.approx(spec.C * np.pi / 512)
+    theta = rep.worst_theta
+    assert min(abs(theta - np.pi / 4), abs(theta - 3 * np.pi / 4)) < 1e-9
+    assert rep.deficiency_width == pytest.approx(spec.C * np.pi / 512)
     with pytest.raises(ValueError):
-        worst_goodness(spec, sub, grid_size=32)
+        probe_subspace(spec, sub, grid_size=32)
 
 
 def test_worst_goodness_deterministic():
     spec = make_norm_spec(12, 1 / 16, Seed(24))
     sub = sample_two_d_subspace(12, Seed(25))
-    a = worst_goodness(spec, sub, grid_size=128)
-    b = worst_goodness(spec, sub, grid_size=128)
-    assert a.deficiency == b.deficiency and a.theta == b.theta
+    a = probe_subspace(spec, sub, grid_size=128)
+    b = probe_subspace(spec, sub, grid_size=128)
+    assert a.worst_deficiency == b.worst_deficiency and a.worst_theta == b.worst_theta
 
 
 def test_worst_goodness_matches_pointwise_goodness():
     spec = make_norm_spec(12, 1 / 16, Seed(27))
     sub = sample_two_d_subspace(12, Seed(28))
-    wg = worst_goodness(spec, sub, grid_size=128)
-    cert = goodness(spec, sub.point(wg.theta))
-    assert wg.deficiency == pytest.approx(cert.deficiency, abs=1e-12)
-    assert wg.certificate.raw == pytest.approx(cert.raw, abs=1e-12)
+    rep = probe_subspace(spec, sub, grid_size=128)
+    cert = goodness(spec, sub.point(rep.worst_theta))
+    assert rep.worst_deficiency == pytest.approx(cert.deficiency, abs=1e-12)
+    sweep = circle_sweep(spec, sub.frame().columns, 128)
+    assert sweep.raw.max() == pytest.approx(cert.raw, abs=1e-12)
 
 
 def test_uncertified_sweep_raises_and_exits_three(monkeypatch, tmp_path):
@@ -214,7 +215,7 @@ def test_uncertified_sweep_raises_and_exits_three(monkeypatch, tmp_path):
         goodness(spec, sub.u)
     assert ei.value.upper - ei.value.lower == pytest.approx(1e-3)
     with pytest.raises(DualNormError):
-        worst_goodness(spec, sub, grid_size=128)
+        probe_subspace(spec, sub, grid_size=128)
     args = ["probe-subspaces", "--n", "8", "--subspaces", "1", "--grid", "256",
             "--out", str(tmp_path / "probe.json")]
     assert main(args) == EXIT_NO_CONVERGENCE
@@ -354,6 +355,57 @@ def test_sigma_set_separation_and_cover():
         assert min(seps) >= beta - 1e-12
     # maximality makes the greedy set a beta-cover of the samples
     assert ana.kappa <= beta + 1e-12
+
+
+# (n, subspace seed, grid, beta, alpha, xi, c) ->
+# (k, kappa, typical angle count, sha256 prefixes of v_thetas and V bytes);
+# the last case is the subspace of the CLI lemma battery at default options
+SIGMA_SET_PINS = [
+    ((8, Seed(101), 512, 0.25, 1.0, 0.05, 0.25),
+     (6, 0.0, 512, "1e906c6ca6dfc02d", "3a75e214841d3ad4")),
+    ((8, Seed(102), 2048, 0.125, 1.0, 0.05, 0.25),
+     (5, 0.0, 2048, "17ea1fca4834c2bc", "4af4f743cc5bca65")),
+    ((16, Seed(103), 512, 0.125, 1.0, 0.05, 0.25),
+     (11, 0.0, 512, "ef9e6cda0f141307", "26237ca51b38d130")),
+    ((16, Seed(104), 2048, 0.25, 1.0, 0.05, 0.25),
+     (8, 0.0, 2048, "558a41182640c7b0", "77ea23ae2ea9b40e")),
+    ((32, Seed(105), 512, 0.25, 1.0, 0.05, 0.25),
+     (22, 0.0, 512, "3162896aa71a058c", "4458ec563733d427")),
+    ((32, Seed(106), 2048, 0.125, 1.0, 0.05, 0.25),
+     (19, 0.0, 2048, "017bdff8198ac45e", "546f34475660c56a")),
+    ((64, Seed(107), 512, 0.125, 1.0, 0.05, 0.25),
+     (33, 0.0, 512, "152a088bd025a584", "56af4c295ed955af")),
+    ((64, Seed(108), 2048, 0.25, 1.0, 0.05, 0.25),
+     (38, 0.0, 2048, "3b429d321beea977", "f5fb472101dd3e5a")),
+    # larger beta and xi: the greedy pass drops patterns, some angles are atypical
+    ((32, Seed(109), 1024, 0.5, 0.8, 0.3, 0.1),
+     (4, 0.49999999999999994, 336, "83fb0ed101ab6b04", "ee37a8b95525caaa")),
+    ((64, Seed(110), 2048, 0.75, 0.7, 0.4, 0.15),
+     (1, 0.25, 24, "c28eea3c00a71766", "bcae3e1a525fb107")),
+    ((16, Seed(111), 512, 0.6, 1.0, 0.6, 0.2),
+     (3, 0.5, 114, "cd8653f9d10fd76d", "e8028ceb4771bb32")),
+    ((32, Seed(20240801, stream=3).derive("sub"), 2048, 0.125, 1.0, 0.05, 0.25),
+     (23, 0.0, 2048, "9d34981617bdb3f9", "f8879341e2cbe96c")),
+]
+
+
+@pytest.mark.parametrize(
+    "case, pinned", SIGMA_SET_PINS,
+    ids=[f"n{c[0]}-g{c[2]}-b{c[3]}-{i}" for i, (c, _) in enumerate(SIGMA_SET_PINS)],
+)
+def test_sigma_set_golden_pins(case, pinned):
+    n, seed, grid, beta, alpha, xi, c = case
+    ana = sigma_set(
+        sample_two_d_subspace(n, seed), alpha=alpha, xi=xi, c=c, beta=beta,
+        grid_size=grid,
+    )
+
+    def digest(a):
+        return hashlib.sha256(a.tobytes()).hexdigest()[:16]
+
+    got = (ana.k, ana.kappa, ana.sigma_samples.shape[0], digest(ana.v_thetas),
+           digest(ana.V))
+    assert got == pinned
 
 
 def test_cyclic_interval_signs_genuine_and_synthetic():
