@@ -57,17 +57,21 @@ EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
 
-_DEFAULTS = {
-    "n": 32,
-    "eta": 1.0 / 16,
-    "seed": 20240801,
-    "trials": 2000,
-    "grid": 512,
-    "subspaces": 25,
-    "tol": 1e-7,
-    "format": "json",
-    "out": None,
-}
+# every option, in --help order: (key, type, default, help); each is a flag
+# --key of every subcommand and a key of the config file
+_OPTIONS = (
+    ("n", int, 32, "ambient dimension"),
+    ("eta", float, 1.0 / 16, "l1 term weight"),
+    ("seed", int, 20240801, "master seed"),
+    ("trials", int, 2000, "sample count for Monte Carlo sections"),
+    ("grid", int, 512, "angular grid size for subspace sweeps"),
+    ("subspaces", int, 25, "number of random subspaces to probe"),
+    ("tol", float, 1e-7, "deficiency reporting tolerance"),
+    ("out", str, None, "output file path"),
+    ("format", str, "json", None),
+)
+_DEFAULTS = {key: default for key, _, default, _ in _OPTIONS}
+_FORMATS = ("json", "csv")
 
 
 def load_config(path: str) -> dict:
@@ -100,10 +104,12 @@ def _merge_options(args: argparse.Namespace) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             opts[key] = val
-    if opts["format"] not in ("json", "csv"):
+    if opts["format"] not in _FORMATS:
         raise ValueError("format must be 'json' or 'csv'")
     if int(opts["n"]) < 2:
         raise ValueError("n must be at least 2")
+    if int(opts["trials"]) < 1:
+        raise ValueError("trials must be at least 1")
     if not 0 <= float(opts["eta"]) < math.inf:
         raise ValueError("eta must be finite and nonnegative")
     if not 0 <= float(opts["tol"]) < math.inf:
@@ -406,19 +412,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("config", nargs="?", default=None,
                        help="optional flat key = value config file")
-        p.add_argument("--n", type=int, default=None, help="ambient dimension")
-        p.add_argument("--eta", type=float, default=None, help="l1 term weight")
-        p.add_argument("--seed", type=int, default=None, help="master seed")
-        p.add_argument("--trials", type=int, default=None,
-                       help="sample count for Monte Carlo sections")
-        p.add_argument("--grid", type=int, default=None,
-                       help="angular grid size for subspace sweeps")
-        p.add_argument("--subspaces", type=int, default=None,
-                       help="number of random subspaces to probe")
-        p.add_argument("--tol", type=float, default=None,
-                       help="deficiency reporting tolerance")
-        p.add_argument("--out", type=str, default=None, help="output file path")
-        p.add_argument("--format", type=str, default=None, choices=["json", "csv"])
+        for key, kind, _, text in _OPTIONS:
+            # None defaults let _merge_options tell a given flag from an absent one
+            p.add_argument(f"--{key}", type=kind, default=None, help=text,
+                           choices=_FORMATS if key == "format" else None)
     return parser
 
 

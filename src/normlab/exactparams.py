@@ -327,15 +327,13 @@ def _decide(lhs: RatInterval, rhs: RatInterval, strict: bool) -> bool | None:
     return None
 
 
-def check_parameter_chain(
-    params: ParameterSet, max_bits: int = _PRECISION_LADDER[-1]
-) -> ChainResult:
+def check_parameter_chain(params: ParameterSet) -> ChainResult:
     """Decide every admissibility condition exactly.
 
     Returns per-condition outcomes, the overall verdict, and the binding
     condition (the smallest relative margin among those that passed, or the
     first failure).  Raises :class:`UndecidableConditionError` only if some
-    condition cannot be separated at ``max_bits`` of working precision.
+    condition cannot be separated at the top rung of the precision ladder.
     """
     results: list[ConditionResult] = []
     for cond_id, desc, strict, builder in _condition_table(params):
@@ -343,8 +341,6 @@ def check_parameter_chain(
         lhs = rhs = None
         bits_used = 0
         for bits in _PRECISION_LADDER:
-            if bits > max_bits:
-                break
             lhs, rhs = builder(bits)
             bits_used = bits
             verdict = _decide(lhs, rhs, strict)

@@ -48,7 +48,6 @@ from .subspaces import (
     e_set,
     euclidean_constant,
     probe_subspace,
-    projection_op_norm,
     sample_two_d_subspace,
 )
 
@@ -126,7 +125,6 @@ def verify_goodness_equivalence(
     epsilon: float,
     samples: int = 64,
     grid_size: int = 512,
-    tol: float = 1e-6,
     seed: Seed | None = None,
 ) -> LemmaReport:
     """Both directions of the goodness/complementation equivalence.
@@ -138,14 +136,21 @@ def verify_goodness_equivalence(
     most epsilon, the projection norm must be at most 1 + epsilon and the
     distortion at most 1 + 3 pi sqrt(epsilon).  Directions whose premises
     fail are skipped; if both are skipped the report is not applicable.
-    The sampled points are the ``samples`` angles of one certified
-    :func:`circle_sweep`; the projection norm comes from a sweep of
-    ``grid_size`` angles.
+
+    One certified :func:`circle_sweep` of ``grid_size`` angles gives both
+    sides: the projection norm is its largest ratio, and the sampled points
+    are every k-th angle of it, k = max(1, grid_size // samples); ``trials``
+    counts them.  When ``samples`` divides ``grid_size`` these are the
+    ``samples`` angles j pi / samples; when the ratio is also a power of
+    two, their deficiencies equal those of a separate ``samples``-point
+    sweep bit for bit (otherwise the angles may differ in the last bit).
     """
     seed = seed or Seed(0)
     ec = euclidean_constant(spec, sub, grid_size=grid_size)
-    pn = projection_op_norm(spec, sub, grid_size=grid_size)
-    worst = float(circle_sweep(spec, sub.frame().columns, samples).raw.max())
+    sweep = circle_sweep(spec, sub.frame().columns, grid_size)
+    pn = float(sweep.proj_ratio.max())
+    sampled = sweep.raw[:: max(1, grid_size // samples)]
+    worst = float(sampled.max())
 
     checks: list[tuple[str, float, float]] = []  # (name, bound, measured)
     if ec.ratio <= 1 + epsilon and pn <= 1 + epsilon:
@@ -171,9 +176,9 @@ def verify_goodness_equivalence(
         bound,
         measured,
         bound - measured,
-        samples,
+        sampled.size,
         seed,
-        tol,
+        1e-6,
         applicable=bool(checks),
         details=details,
     )
@@ -194,9 +199,11 @@ def support_bracket(delta: float, C: float) -> float:
 
 
 def _descend_norm(
-    spec: NormSpec, x: np.ndarray, arc: float, steps: int = 96
+    spec: NormSpec, x: np.ndarray, arc: float
 ) -> tuple[np.ndarray, float]:
-    """Greedy norm descent along the unit sphere, arc length at most ``arc``."""
+    """Greedy norm descent along the unit sphere, arc length at most ``arc``,
+    in 96 equal steps."""
+    steps = 96
     y = x / np.linalg.norm(x)
     best_y, best_v = y, norm(spec, y)
     h = arc / steps
@@ -224,8 +231,6 @@ def verify_support_characterization(
     spec: NormSpec,
     x: np.ndarray,
     delta: float,
-    C: float | None = None,
-    tol: float = 1e-6,
     seed: Seed | None = None,
 ) -> LemmaReport:
     """Goodness versus nearby unit/support pairs, both directions.
@@ -238,12 +243,13 @@ def verify_support_characterization(
     deficiency exceeds that threshold the forward direction promises
     nothing; the report then records delta_star (the threshold at which the
     promise would resume) and a best-effort descent witness, without
-    asserting either.
+    asserting either.  C is the norm's distortion bound ``spec.C``.
     """
     seed = seed or Seed(0)
+    tol = 1e-6
     x = np.asarray(x, dtype=float)
     xu = x / np.linalg.norm(x)
-    C = float(spec.C if C is None else C)
+    C = float(spec.C)
     cert = goodness(spec, xu)
     gap = _support_pair_gap(spec, xu)
     details: dict = {"canonical_gap": gap, "deficiency": cert.raw, "C": C}
@@ -303,9 +309,7 @@ def verify_support_characterization(
 # approximate eigenvectors of A = I + P
 # ---------------------------------------------------------------------------
 
-def verify_approx_eigenvector(
-    basis: Frame, y: np.ndarray, nu: float, tol: float = 1e-12
-) -> LemmaReport:
+def verify_approx_eigenvector(basis: Frame, y: np.ndarray, nu: float) -> LemmaReport:
     """Near-eigenvectors of I + P cling to one of the eigenspaces.
 
     P is the orthogonal projection onto the span of ``basis`` and Q = I - P.
@@ -339,7 +343,7 @@ def verify_approx_eigenvector(
         bound - measured,
         1,
         None,
-        tol,
+        1e-12,
         applicable=tau <= 0.25,
         details=details,
     )
@@ -362,7 +366,6 @@ def mc_subspace_volume(
     gamma: float,
     trials: int,
     seed: Seed,
-    tol: float = 0.0,
 ) -> LemmaReport:
     """Empirical frequency of a random unit point landing gamma-close to a
     fixed m-dimensional subspace, against the exact law and the union bound.
@@ -404,7 +407,7 @@ def mc_subspace_volume(
         margin,
         trials,
         seed,
-        tol,
+        0.0,
         details=details,
     )
 
@@ -693,7 +696,6 @@ def verify_range_support_gap(
     trials: int,
     seed: Seed,
     gamma: float = 2.0**-37,
-    tol: float = 0.0,
 ) -> LemmaReport:
     """Random half-rank projections rarely admit sparse near-range vectors.
 
@@ -742,7 +744,7 @@ def verify_range_support_gap(
         margin,
         trials,
         seed,
-        tol,
+        0.0,
         applicable=two_gamma < 1,
         details=details,
     )
@@ -752,9 +754,7 @@ def verify_range_support_gap(
 # sign stability under perturbation
 # ---------------------------------------------------------------------------
 
-def verify_sign_continuity(
-    x: np.ndarray, y: np.ndarray, xi: float, tol: float = 0.0
-) -> LemmaReport:
+def verify_sign_continuity(x: np.ndarray, y: np.ndarray, xi: float) -> LemmaReport:
     """Coordinates above the xi/sqrt(n) scale rarely flip sign.
 
     Counts indices with |x_i| >= xi / sqrt(n) whose sign differs in y; the
@@ -777,7 +777,7 @@ def verify_sign_continuity(
         bound - flips,
         1,
         None,
-        tol,
+        0.0,
         details={"flips": flips, "delta": delta},
     )
 
@@ -789,7 +789,6 @@ def verify_typicality_probability(
     alpha: float,
     theta_trials: int = 4096,
     seed: Seed | None = None,
-    tol: float = 0.0,
 ) -> LemmaReport:
     """Random angles rarely leave many large-amplitude coordinates tiny.
 
@@ -808,7 +807,7 @@ def verify_typicality_probability(
             -math.inf,
             theta_trials,
             seed,
-            tol,
+            0.0,
             applicable=False,
             details={"reason": "empty amplitude set"},
         )
@@ -833,7 +832,7 @@ def verify_typicality_probability(
         margin,
         theta_trials,
         seed,
-        tol,
+        0.0,
         details=details,
     )
 
@@ -842,9 +841,7 @@ def verify_typicality_probability(
 # separation of sign vectors and shear residuals
 # ---------------------------------------------------------------------------
 
-def verify_sign_vector_separation(
-    u: np.ndarray, v: np.ndarray, tol: float = 1e-12
-) -> LemmaReport:
+def verify_sign_vector_separation(u: np.ndarray, v: np.ndarray) -> LemmaReport:
     """No multiple of one sign vector approximates another too well.
 
     For u, v supported on a common set E with entries +-1/sqrt(n) there,
@@ -882,7 +879,7 @@ def verify_sign_vector_separation(
         measured - bound,
         1,
         None,
-        tol,
+        1e-12,
         details={"lambda": lam, "agreements": agree, "disagreements": disagree},
     )
 
@@ -1010,8 +1007,6 @@ def verify_sigma_spread(
     analysis: SignSetAnalysis,
     sub: TwoDSubspace,
     w_frame: Frame,
-    beta: float | None = None,
-    tol: float = 1e-9,
 ) -> LemmaReport:
     """With five separated sign pairs, no 4-dim subspace captures them all.
 
@@ -1020,11 +1015,13 @@ def verify_sigma_spread(
     orthogonal difference family).  Then some collected sign pattern must
     sit at distance at least beta / (2 sqrt 5) from the given 4-dimensional
     subspace.  Instances failing the structural checks are reported as
-    inconsistent and not applicable.
+    inconsistent and not applicable.  beta is the analysis's own
+    separation parameter.
     """
     if w_frame.dim != 4:
         raise ValueError("the test subspace must be 4-dimensional")
-    beta = float(analysis.beta if beta is None else beta)
+    tol = 1e-9
+    beta = float(analysis.beta)
     details: dict = {"k": analysis.k, "beta": beta}
     if analysis.k < 5:
         details["reason"] = "fewer than five separated pairs"
@@ -1117,7 +1114,6 @@ def verify_goodness_floor(
     subspace_trials: int,
     seed: Seed,
     grid_size: int = 256,
-    tol: float = 1e-7,
 ) -> LemmaReport:
     """Sweep random 2-D subspaces for the smallest worst-case deficiency.
 
@@ -1132,7 +1128,7 @@ def verify_goodness_floor(
     worst = np.array([
         probe_subspace(
             spec, sample_two_d_subspace(n, seed.derive("floor-sub", t)),
-            grid_size=grid_size, tol=tol,
+            grid_size=grid_size,
         ).worst_deficiency
         for t in range(subspace_trials)
     ])

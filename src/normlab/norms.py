@@ -295,27 +295,16 @@ class GoodnessCertificate:
     tol: float
     raw: float
 
-    @classmethod
-    def from_raw(
-        cls, x: np.ndarray, raw: float, witness: np.ndarray, tol: float
-    ) -> "GoodnessCertificate":
-        raw = float(raw)
-        return cls(
-            x=x, deficiency=raw if raw >= tol else 0.0, witness=witness, tol=tol, raw=raw
-        )
-
 
 def goodness(
-    spec: NormSpec,
-    x: np.ndarray,
-    tol: float = GOODNESS_TOL,
-    seed: Seed | None = None,
+    spec: NormSpec, x: np.ndarray, seed: Seed | None = None
 ) -> GoodnessCertificate:
     """Goodness deficiency of x: how far x is from norming its own direction.
 
     A point is deficiency-free exactly when the rank-one orthogonal
     projection onto it has operator norm 1 measured in ``spec``'s norm; in
-    general that operator norm is 1 + deficiency.  ``seed`` is accepted and
+    general that operator norm is 1 + deficiency.  Deficiencies below
+    ``GOODNESS_TOL`` are reported as zero.  ``seed`` is accepted and
     ignored: the dual solve is deterministic.
     """
     x = np.asarray(x, dtype=float)
@@ -324,7 +313,14 @@ def goodness(
         raise ValueError("goodness needs x != 0")
     xu = x / xn
     val, witness = dual_norm(spec, xu)
-    return GoodnessCertificate.from_raw(xu, val * norm(spec, xu) - 1.0, witness, tol)
+    raw = float(val * norm(spec, xu) - 1.0)
+    return GoodnessCertificate(
+        x=xu,
+        deficiency=raw if raw >= GOODNESS_TOL else 0.0,
+        witness=witness,
+        tol=GOODNESS_TOL,
+        raw=raw,
+    )
 
 
 @dataclass(frozen=True)

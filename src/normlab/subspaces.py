@@ -22,13 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import Frame, Seed
-from .norms import (
-    GoodnessCertificate,
-    NormSpec,
-    circle_sweep,
-    norm,
-    projection_ratio_norm,
-)
+from .norms import NormSpec, circle_sweep, norm
 
 _ORTHO_TOL = 1e-10
 
@@ -117,8 +111,6 @@ class EuclideanEstimate:
     scale_t: float
     ratio_upper: float
     width: float
-    theta_max: float
-    theta_min: float
     grid_size: int
 
 
@@ -134,28 +126,16 @@ def euclidean_constant(
         raise ValueError("grid_size below 256 gives useless enclosures")
     thetas = np.arange(grid_size) * (np.pi / grid_size)
     vals = norm(spec, sub.point(thetas))
-    imax, imin = int(np.argmax(vals)), int(np.argmin(vals))
     width = spec.C * (np.pi / grid_size) / 2.0
-    hi, lo = float(vals[imax]), float(vals[imin])
+    hi, lo = float(vals.max()), float(vals.min())
     upper = (hi + width) / max(lo - width, 1e-300)
     return EuclideanEstimate(
         ratio=hi / lo,
         scale_t=lo,
         ratio_upper=float(upper),
         width=float(width),
-        theta_max=float(thetas[imax]),
-        theta_min=float(thetas[imin]),
         grid_size=grid_size,
     )
-
-
-def projection_op_norm(spec: NormSpec, sub: TwoDSubspace, grid_size: int = 512) -> float:
-    """Operator norm of the orthogonal projection onto the subspace.
-
-    The grid maximum of :func:`projection_ratio_norm` over ``grid_size``
-    angles: a lower bound attained at an explicit point.
-    """
-    return projection_ratio_norm(spec, sub.frame().columns, grid_size=grid_size)
 
 
 def e_set(sub: TwoDSubspace, alpha: float) -> np.ndarray:
@@ -213,7 +193,6 @@ class SignSetAnalysis:
     """
 
     sigma_samples: np.ndarray      # (T, n)
-    sample_thetas: np.ndarray      # (T,)
     V: np.ndarray                  # (2k, n): representatives then antipodes
     v_thetas: np.ndarray           # (2k,)
     k: int
@@ -280,7 +259,6 @@ def sigma_set(
     d = np.linalg.norm(pats[:, None, :] - v[None, :, :], axis=2)
     return SignSetAnalysis(
         sigma_samples=sam,
-        sample_thetas=ths,
         V=v,
         v_thetas=vth,
         k=len(reps),
@@ -333,10 +311,6 @@ def probe_subspace(
     spec: NormSpec,
     sub: TwoDSubspace,
     index: int = 0,
-    alpha: float = 1.0,
-    xi: float = 0.05,
-    c: float = 0.25,
-    beta: float = 0.25,
     grid_size: int = 512,
     tol: float = 1e-7,
     seed: Seed | None = None,
@@ -348,18 +322,20 @@ def probe_subspace(
     projection norm.  The largest grid deficiency is reported, clamped to
     zero below ``tol``; it is 2C-Lipschitz along the circle, so the true
     supremum exceeds the report by at most ``deficiency_width`` = C * h.
-    Raises :class:`DualNormError` if any grid point cannot be certified.
-    ``seed`` is accepted and ignored: every probe is deterministic.
+    The sign-set columns come from :func:`sigma_set` with alpha = 1,
+    xi = 0.05, c = 0.25 and beta = 0.25.  Raises :class:`DualNormError` if
+    any grid point cannot be certified.  ``seed`` is accepted and ignored:
+    every probe is deterministic.
     """
     if grid_size < 64:
         raise ValueError("grid_size below 64 gives useless enclosures")
     ec = euclidean_constant(spec, sub, grid_size=max(grid_size, 256))
     sweep = circle_sweep(spec, sub.frame().columns, grid_size)
     j = int(np.argmax(sweep.raw))
-    worst = GoodnessCertificate.from_raw(
-        sweep.points[j], sweep.raw[j], sweep.dual.witness[j], tol
+    raw = float(sweep.raw[j])
+    sig = sigma_set(
+        sub, alpha=1.0, xi=0.05, c=0.25, beta=0.25, grid_size=max(grid_size, 256)
     )
-    sig = sigma_set(sub, alpha, xi, c, beta, grid_size=max(grid_size, 256))
     return SubspaceReport(
         index=index,
         euclidean_ratio=ec.ratio,
@@ -367,7 +343,7 @@ def probe_subspace(
         scale_t=ec.scale_t,
         proj_norm=float(sweep.proj_ratio.max()),
         worst_theta=float(sweep.thetas[j]),
-        worst_deficiency=worst.deficiency,
+        worst_deficiency=raw if raw >= tol else 0.0,
         deficiency_width=float(spec.C * (np.pi / grid_size)),
         e_set_size=int(sig.e_indices.size),
         k=sig.k,

@@ -115,6 +115,13 @@ def test_bad_inputs_exit_two(tmp_path):
     assert main(["probe-subspaces", "--tol", "nan"]) == EXIT_BAD_INPUT
     assert main(["probe-subspaces", "--tol", "inf"]) == EXIT_BAD_INPUT
     assert main(["probe-subspaces", "--tol=-1e-7"]) == EXIT_BAD_INPUT
+    # fewer than one trial is rejected, not left to numpy or clamped
+    assert main(["sample-norm", "--trials", "0"]) == EXIT_BAD_INPUT
+    assert main(["sample-norm", "--trials", "-3"]) == EXIT_BAD_INPUT
+    assert main(["mc-bounds", "--trials", "-1"]) == EXIT_BAD_INPUT
+    no_trials = tmp_path / "bad3.cfg"
+    no_trials.write_text("trials = 0\n")
+    assert main(["mc-bounds", str(no_trials)]) == EXIT_BAD_INPUT
     # an output path that cannot be written is bad input, not a failed check
     unwritable = tmp_path / "no-such-dir" / "x.json"
     assert main(["check-params", "--out", str(unwritable)]) == EXIT_BAD_INPUT
@@ -141,6 +148,18 @@ def test_subcommand_smoke(tmp_path):
     )
     assert code == EXIT_OK
     assert rep["summary"]["ok"] is True
+
+
+def test_goodness_equivalence_samples_every_kth_sweep_angle(tmp_path):
+    # a grid that 32 does not divide: the 32 sampled angles become every
+    # (300 // 32)-th angle of the one 300-point sweep
+    code, rep = run_json(
+        tmp_path, "lemmas.json",
+        ["verify-lemmas", "--seed", "5", "--trials", "1000", "--grid", "300"],
+    )
+    assert code == EXIT_OK
+    row = next(r for r in rep["lemmas"] if r["lemma_id"] == "goodness_equivalence")
+    assert row["trials"] == len(range(0, 300, 300 // 32))
 
 
 def test_mc_bounds_golden_hits(tmp_path):

@@ -34,6 +34,7 @@ from normlab import (
 from normlab import lemmas
 from normlab.lemmas import _distinct_value_configs, _support_blocks
 from normlab.linalg import _haar_frame
+from normlab.norms import circle_sweep
 from test_norms import diag_spec, euclidean_spec
 
 SQRT2 = math.sqrt(2.0)
@@ -120,6 +121,29 @@ def test_goodness_equivalence_deterministic():
     a = verify_goodness_equivalence(spec, sub, epsilon=0.2, seed=Seed(108))
     b = verify_goodness_equivalence(spec, sub, epsilon=0.2, seed=Seed(108))
     assert a.margin == b.margin and a.measured_value == b.measured_value
+
+
+@pytest.mark.parametrize("grid, samples", [(512, 64), (512, 32)])
+def test_strided_sweep_rows_equal_a_coarse_sweep_bitwise(grid, samples):
+    # verify_goodness_equivalence samples every (grid // samples)-th row of
+    # its one sweep; for a power-of-two ratio those rows are the rows of a
+    # separate samples-point sweep, bit for bit
+    for t, (n, within) in enumerate([(8, False), (16, True), (32, False), (32, True)]):
+        spec = make_norm_spec(n, 1 / 16, Seed(109).derive("spec", t))
+        sub = sample_two_d_subspace(
+            n, Seed(109).derive("sub", t), within=spec.basis if within else None
+        )
+        cols = sub.frame().columns
+        fine = circle_sweep(spec, cols, grid)
+        coarse = circle_sweep(spec, cols, samples)
+        assert np.array_equal(fine.thetas[:: grid // samples], coarse.thetas)
+        assert np.array_equal(fine.raw[:: grid // samples], coarse.raw)
+        rep = verify_goodness_equivalence(
+            spec, sub, epsilon=0.5, samples=samples, grid_size=grid
+        )
+        assert rep.trials == samples
+        assert rep.details["worst_deficiency"] == float(coarse.raw.max())
+        assert rep.details["projection_norm"] == float(fine.proj_ratio.max())
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ from normlab import (
     make_norm_spec,
     norm,
     probe_subspace,
-    projection_op_norm,
+    projection_ratio_norm,
     sample_two_d_subspace,
     sigma_set,
     span_two,
@@ -133,26 +133,29 @@ def test_euclidean_constant_mixed_ratio_sqrt2():
 def test_projection_op_norm_cases():
     spec = euclidean_spec(6)
     sub = sample_two_d_subspace(6, Seed(10))
-    assert projection_op_norm(spec, sub) == pytest.approx(1.0, abs=1e-7)
+    assert projection_ratio_norm(spec, sub.frame().columns) == pytest.approx(
+        1.0, abs=1e-7
+    )
 
     spec_p = make_norm_spec(8, 0.0, Seed(12), rank=4)
     sub_p = sample_two_d_subspace(8, Seed(13), within=spec_p.basis)
-    assert projection_op_norm(spec_p, sub_p) == pytest.approx(
+    assert projection_ratio_norm(spec_p, sub_p.frame().columns) == pytest.approx(
         1.0, abs=1e-6
     )
 
     spec_r = make_norm_spec(8, 0.25, Seed(15))
     sub_r = sample_two_d_subspace(8, Seed(16))
-    assert projection_op_norm(spec_r, sub_r) >= 1 - 1e-7
+    assert projection_ratio_norm(spec_r, sub_r.frame().columns) >= 1 - 1e-7
 
 
 def test_projection_op_norm_regression_point():
     # a 16-start ascent stopped at 1.0569898013 here
     spec = make_norm_spec(32, 1 / 16, Seed(60))
     sub = sample_two_d_subspace(32, Seed(70))
-    coarse = projection_op_norm(spec, sub)
+    cols = sub.frame().columns
+    coarse = projection_ratio_norm(spec, cols)
     assert coarse >= 1.0585910587 - 1e-9
-    assert 0.0 <= projection_op_norm(spec, sub, grid_size=4096) - coarse <= 1e-6
+    assert 0.0 <= projection_ratio_norm(spec, cols, grid_size=4096) - coarse <= 1e-6
 
 
 # ----------------------------------------------------------------------
